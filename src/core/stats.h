@@ -56,17 +56,6 @@ struct Stats {
   /// cache_stats(), now in every report and bench snapshot.
   std::uint64_t cache_evictions = 0;
 
-  /// Low-rank warm-path counters (see timing::SessionOptions::low_rank
-  /// and DESIGN.md "Low-rank warm-path refactorization").
-  /// `low_rank_points` counts stages evaluated through a
-  /// Sherman-Morrison-corrected donor factorization instead of a fresh
-  /// LU; `low_rank_refactorizations` counts stages where the corrected
-  /// solver refused (rank cap, drift watchdog, fault probe) and a full
-  /// refactorization was performed instead.  Both stay 0 with the
-  /// low-rank path disabled or never eligible.
-  std::uint64_t low_rank_points = 0;
-  std::uint64_t low_rank_refactorizations = 0;
-
   /// Pre-flight lint findings (src/check rule pipeline) tallied by the
   /// layer that ran the lint: Engine when EngineOptions::preflight_lint
   /// is on, the timing analyzer for its per-stage pre-flight.  Cached

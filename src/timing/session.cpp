@@ -7,20 +7,10 @@
 
 namespace awesim::timing {
 
-Session::Session(Design design, AnalysisOptions options)
-    : Session(std::move(design), options, SessionOptions(), nullptr) {}
-
 Session::Session(Design design, AnalysisOptions options,
-                 std::shared_ptr<detail::StageCache> cache)
-    : Session(std::move(design), options, SessionOptions(),
-              std::move(cache)) {}
-
-Session::Session(Design design, AnalysisOptions options,
-                 SessionOptions session_options,
                  std::shared_ptr<detail::StageCache> cache)
     : design_(std::move(design)),
       options_(options),
-      session_options_(session_options),
       cache_(cache != nullptr ? std::move(cache)
                               : std::make_shared<detail::StageCache>()),
       stage_hints_(design_.nets_.size()) {}
@@ -30,17 +20,12 @@ Session::Session(Session&&) noexcept = default;
 Session& Session::operator=(Session&&) noexcept = default;
 
 TimingReport Session::analyze() {
-  detail::SessionHints hints;
-  hints.low_rank = session_options_.low_rank;
-  hints.low_rank_options = session_options_.low_rank_options;
-  hints.min_stage_elements = session_options_.min_stage_elements;
-  hints.stages = &stage_hints_;
-  return detail::analyze_design(design_, options_, cache_.get(), &hints);
+  return detail::analyze_design(design_, options_, cache_.get(),
+                                &stage_hints_);
 }
 
 TimingReport Session::analyze(const AnalysisOptions& options) {
-  // Memoized key bytes encode the old options; the delta journals only
-  // describe circuit content and stay valid across the rebind.
+  // Memoized key bytes encode the old options.
   invalidate_all_keys();
   options_ = options;
   return analyze();
@@ -75,36 +60,11 @@ Gate& Session::gate_ref(const std::string& gate) {
   return it->second;
 }
 
-detail::StageHint& Session::hint_at(std::size_t net_idx) {
+void Session::invalidate_keys(std::size_t net_idx) {
   if (stage_hints_.size() < design_.nets_.size()) {
     stage_hints_.resize(design_.nets_.size());
   }
-  return stage_hints_[net_idx];
-}
-
-void Session::invalidate_keys(std::size_t net_idx) {
-  hint_at(net_idx).keys_valid = false;
-}
-
-void Session::journal_delta(std::size_t net_idx, const std::string& element,
-                            double donor_value) {
-  detail::StageHint& hint = hint_at(net_idx);
-  // No donor factorization on record -- nothing to express a delta
-  // against; the next exact evaluation establishes one.
-  if (!hint.donor_valid) return;
-  for (const auto& [name, value] : hint.deltas) {
-    // First touch wins: the journal keeps the element's value at donor
-    // time, and later edits only change where the delta lands.
-    if (name == element) return;
-  }
-  hint.deltas.emplace_back(element, donor_value);
-}
-
-void Session::reset_journal(std::size_t net_idx) {
-  detail::StageHint& hint = hint_at(net_idx);
-  hint.donor_valid = false;
-  hint.donor_key.clear();
-  hint.deltas.clear();
+  stage_hints_[net_idx].keys_valid = false;
 }
 
 void Session::invalidate_all_keys() {
@@ -122,19 +82,12 @@ void Session::set_value(const std::string& net, std::size_t element_index,
         "Session: element index " + std::to_string(element_index) +
         " out of range for net '" + net + "'");
   }
-  // "__p<i>" is the element name build_stage assigns to the net's i-th
-  // parasitic -- the handle MnaSystem::apply_delta resolves.
-  journal_delta(idx, "__p" + std::to_string(element_index),
-                n.parasitics[element_index].value);
   invalidate_keys(idx);
   n.parasitics[element_index].value = value;
 }
 
 void Session::add_element(const std::string& net, NetElement element) {
   const std::size_t idx = net_index(net);
-  // A new element shifts "__p<i>" names and changes the matrix topology;
-  // that is not a value delta, so the donor is gone.
-  reset_journal(idx);
   invalidate_keys(idx);
   design_.nets_[idx].net.parasitics.push_back(std::move(element));
 }
@@ -148,7 +101,6 @@ void Session::remove_element(const std::string& net,
         "Session: element index " + std::to_string(element_index) +
         " out of range for net '" + net + "'");
   }
-  reset_journal(idx);
   invalidate_keys(idx);
   n.parasitics.erase(n.parasitics.begin() +
                      static_cast<std::ptrdiff_t>(element_index));
@@ -157,10 +109,7 @@ void Session::remove_element(const std::string& net,
 void Session::set_drive_resistance(const std::string& gate, double value) {
   Gate& g = gate_ref(gate);
   for (std::size_t i = 0; i < design_.nets_.size(); ++i) {
-    if (design_.nets_[i].driver == gate) {
-      journal_delta(i, "__Rdrv", g.drive_resistance);
-      invalidate_keys(i);
-    }
+    if (design_.nets_[i].driver == gate) invalidate_keys(i);
   }
   g.drive_resistance = value;
 }
@@ -168,14 +117,7 @@ void Session::set_drive_resistance(const std::string& gate, double value) {
 void Session::set_input_capacitance(const std::string& gate, double value) {
   Gate& g = gate_ref(gate);
   for (std::size_t i = 0; i < design_.nets_.size(); ++i) {
-    if (design_.nets_[i].net.sink_node.count(gate) > 0) {
-      // Input caps only touch the C matrix, so the delta is rank zero
-      // and the donor G solver stays exact; when the cap appears or
-      // disappears entirely (0 <-> nonzero), apply_delta fails to
-      // resolve the element and the stage refactorizes -- still exact.
-      journal_delta(i, "__cin_" + gate, g.input_capacitance);
-      invalidate_keys(i);
-    }
+    if (design_.nets_[i].net.sink_node.count(gate) > 0) invalidate_keys(i);
   }
   g.input_capacitance = value;
 }
@@ -183,7 +125,7 @@ void Session::set_input_capacitance(const std::string& gate, double value) {
 void Session::set_intrinsic_delay(const std::string& gate, double value) {
   for (std::size_t i = 0; i < design_.nets_.size(); ++i) {
     // Intrinsic delay enters the result key but not the stage circuit,
-    // so the content key (and any donor) is untouched: no journal entry.
+    // so the content key (and its cached factorization) is untouched.
     if (design_.nets_[i].driver == gate) invalidate_keys(i);
   }
   gate_ref(gate).intrinsic_delay = value;

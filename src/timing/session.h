@@ -41,27 +41,6 @@
 
 namespace awesim::timing {
 
-/// Session-level policy knobs that must NOT enter analysis cache keys
-/// (they change how answers are computed, with documented tolerances --
-/// never what design is analyzed).
-struct SessionOptions {
-  /// The Sherman-Morrison warm path: stages whose pending mutations are
-  /// pure value deltas re-solve through a rank-corrected view of the
-  /// cached donor LU instead of refactorizing.  Warm results become
-  /// tolerance-equal (|delta delay| <= ~1e-9 s on the bench circuits;
-  /// see DESIGN.md "Low-rank warm-path refactorization") instead of
-  /// bit-equal to a cold analyze.  `false` restores the PR-4 contract:
-  /// every warm report bit-identical to cold, at full refactorization
-  /// cost per changed stage.
-  bool low_rank = true;
-  /// Rank cap and drift (condition) threshold of the corrected solver.
-  la::LowRankOptions low_rank_options;
-  /// Stages with fewer parasitic elements than this always refactorize
-  /// exactly -- below it a fresh LU is as cheap as the correction, so
-  /// small designs keep bit-identity even with low_rank on.
-  std::size_t min_stage_elements = 64;
-};
-
 /// What a sweep varies.  `name` selects a net (NetElementValue) or a
 /// gate (the other kinds); `element_index` picks the parasitic within
 /// the net's parasitics vector.
@@ -107,26 +86,19 @@ struct SweepResult {
 class Session {
  public:
   /// Takes its own copy of the design; the session mutates that copy.
-  explicit Session(Design design, AnalysisOptions options = {});
-
-  /// Shares a StageCache with other sessions instead of owning one --
-  /// the generation-stamped snapshot store (timing/snapshot.h) builds a
-  /// private Session per snapshot/request over one process-wide cache,
-  /// so every reader and every new generation stays warm.  Safe because
+  ///
+  /// `cache` shares a StageCache with other sessions instead of owning
+  /// one -- the generation-stamped snapshot store (timing/snapshot.h)
+  /// builds a private Session per snapshot/request over one process-wide
+  /// cache, so every reader and every new generation stays warm.  Safe because
   /// cache keys are content-addressed (two sessions can never alias
   /// different circuits under one key) and every StageCache operation is
   /// internally locked; with *concurrent* analyses the hit/miss/eviction
   /// counters become schedule-dependent, but the timing payload is
   /// bit-identical regardless of who warmed which entry.  A nullptr
   /// cache is replaced with a fresh private one.
-  Session(Design design, AnalysisOptions options,
-          std::shared_ptr<detail::StageCache> cache);
-
-  /// Full-control constructor: analysis options, session policy, and an
-  /// optionally shared cache.
-  Session(Design design, AnalysisOptions options,
-          SessionOptions session_options,
-          std::shared_ptr<detail::StageCache> cache = nullptr);
+  explicit Session(Design design, AnalysisOptions options = {},
+                   std::shared_ptr<detail::StageCache> cache = nullptr);
   ~Session();
   Session(Session&&) noexcept;
   Session& operator=(Session&&) noexcept;
@@ -180,7 +152,6 @@ class Session {
 
   const Design& design() const { return design_; }
   const AnalysisOptions& options() const { return options_; }
-  const SessionOptions& session_options() const { return session_options_; }
 
   /// Cumulative cache observability, for tests and tooling.
   struct CacheStats {
@@ -215,23 +186,13 @@ class Session {
   /// Index of the (unique) net with this name in the design's net list;
   /// same validation as net_ref.
   std::size_t net_index(const std::string& net);
-  /// Per-net warm-path scratch, sized to the net list on demand.
-  detail::StageHint& hint_at(std::size_t net_idx);
-  /// Key-memo invalidation (keeps the delta journal).
+  /// Key-memo invalidation for one net, sized to the net list on demand.
   void invalidate_keys(std::size_t net_idx);
-  /// Record a value delta for the low-rank journal: the first mutation
-  /// of an element since the last rebase keeps its donor-time value.
-  void journal_delta(std::size_t net_idx, const std::string& element,
-                     double donor_value);
-  /// A mutation not expressible as a value delta: forget the donor.
-  void reset_journal(std::size_t net_idx);
-  /// Drop every memoized key (options rebind); journals survive -- they
-  /// describe circuit content, not options.
+  /// Drop every memoized key (options rebind).
   void invalidate_all_keys();
 
   Design design_;
   AnalysisOptions options_;
-  SessionOptions session_options_;
   std::shared_ptr<detail::StageCache> cache_;
   std::vector<detail::StageHint> stage_hints_;
 };

@@ -60,16 +60,9 @@ PathsResult Snapshot::worst_paths(const PathQuery& query,
 SweepResult Snapshot::sweep(const SweepParam& param,
                             const std::vector<double>& values,
                             core::CancelToken* cancel) const {
-  return sweep(param, values, SessionOptions(), cancel);
-}
-
-SweepResult Snapshot::sweep(const SweepParam& param,
-                            const std::vector<double>& values,
-                            const SessionOptions& session_options,
-                            core::CancelToken* cancel) const {
   AnalysisOptions options = options_;
   options.cancel = cancel;
-  Session scratch(design_, options, session_options, cache_);
+  Session scratch(design_, options, cache_);
   return scratch.sweep(param, values);
 }
 

@@ -86,15 +86,8 @@ class Snapshot {
   /// What-if sweep against this snapshot.  Runs on a *private* scratch
   /// Session (the snapshot itself is never touched), warm through the
   /// shared cache; concurrent sweeps on one snapshot are independent.
-  /// The overload taking SessionOptions selects the sweep's solver
-  /// policy (low-rank warm path vs exact refactorization) per request;
-  /// the default keeps SessionOptions defaults.
   SweepResult sweep(const SweepParam& param,
                     const std::vector<double>& values,
-                    core::CancelToken* cancel = nullptr) const;
-  SweepResult sweep(const SweepParam& param,
-                    const std::vector<double>& values,
-                    const SessionOptions& session_options,
                     core::CancelToken* cancel = nullptr) const;
 
  private:

@@ -3,7 +3,7 @@
 // Before this header existed every suite grew its own ad-hoc builders
 // (test_session's fanout/chain designs, test_paths' random DAG reports);
 // they live here now so the differential suites -- in particular the
-// `numeric` tier in test_low_rank.cpp -- exercise the same seeded
+// `numeric` tier in test_warm_cold.cpp -- exercise the same seeded
 // families the rest of the tests pin down.  Everything is deterministic
 // in the seed: same seed, same Design, bit for bit, on every platform
 // (std::mt19937 and the distributions below are fully specified).
@@ -88,7 +88,7 @@ struct ValueMutation {
 /// A seeded sequence of resistor-value perturbations: each step picks a
 /// random resistor and scales its *nominal* value by a factor uniform
 /// in [1-rel_spread, 1+rel_spread].  Values stay positive, so every
-/// step is a legal Sherman-Morrison rank-1 candidate.
+/// step is a legal Session::set_value edit.
 std::vector<ValueMutation> random_perturbations(std::uint32_t seed,
                                                 const StageDesign& stage,
                                                 std::size_t count,
