@@ -9,6 +9,10 @@
 //   awesim_bench --filter=sub    run only cases whose name contains sub
 //   awesim_bench --repeats=N     override the tier's repeat count
 //
+// Exits nonzero when any case's accuracy is non-finite or above the
+// bound the case declares (after writing the JSON, so the failing run
+// still leaves its numbers behind).
+//
 // Tracing is force-enabled for the run so every result carries the
 // phase breakdown; the timed workloads therefore pay the (mutexed
 // accumulate) tracing cost uniformly, which is what makes phase shares
@@ -17,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,10 +72,22 @@ bool parse_args(int argc, char** argv, CliOptions* cli) {
   return true;
 }
 
+std::string bound_str(const std::optional<double>& bound) {
+  if (!bound) return "-";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3e", *bound);
+  return buf;
+}
+
+const char* gate_str(const bench::BenchResult& r) {
+  if (!r.accuracy_bound) return "-";
+  return bench::within_bound(r) ? "ok" : "FAIL";
+}
+
 void print_results(const std::vector<bench::BenchResult>& results) {
-  std::printf("%-26s %-22s %8s %10s %10s %12s %12s  %s\n", "bench",
-              "paper_ref", "size", "wall_ms", "min_ms", "speedup", "accuracy",
-              "metric");
+  std::printf("%-26s %-22s %8s %10s %10s %12s %12s %12s %5s  %s\n",
+              "bench", "paper_ref", "size", "wall_ms", "min_ms", "speedup",
+              "accuracy", "bound", "gate", "metric");
   for (const auto& r : results) {
     const double speedup = bench::speedup_vs_sim(r);
     char speedup_str[32];
@@ -85,10 +102,11 @@ void print_results(const std::vector<bench::BenchResult>& results) {
     } else {
       std::snprintf(acc_str, sizeof acc_str, "-");
     }
-    std::printf("%-26s %-22s %8zu %10.3f %10.3f %12s %12s  %s\n",
+    std::printf("%-26s %-22s %8zu %10.3f %10.3f %12s %12s %12s %5s  %s\n",
                 r.name.c_str(), r.paper_ref.c_str(), r.problem_size,
                 bench::median_of(r.wall_ms), bench::min_of(r.wall_ms),
-                speedup_str, acc_str,
+                speedup_str, acc_str, bound_str(r.accuracy_bound).c_str(),
+                gate_str(r),
                 r.accuracy_metric.empty() ? "-"
                                           : r.accuracy_metric.c_str());
   }
@@ -119,8 +137,9 @@ int main(int argc, char** argv) {
 
   if (cli.list) {
     for (const auto& c : bench::registry()) {
-      std::printf("%-26s %-22s size=%zu%s\n", c.name.c_str(),
+      std::printf("%-26s %-22s size=%zu bound=%s%s\n", c.name.c_str(),
                   c.paper_ref.c_str(), c.problem_size,
+                  bound_str(c.accuracy_bound).c_str(),
                   c.quick_tier ? "" : "  [full tier only]");
     }
     return 0;
@@ -199,5 +218,16 @@ int main(int argc, char** argv) {
                 cli.json_path.c_str(), results.size(),
                 bench::kSchemaVersion);
   }
-  return 0;
+
+  int violated = 0;
+  for (const auto& r : results) {
+    if (bench::within_bound(r)) continue;
+    ++violated;
+    std::fprintf(stderr,
+                 "awesim_bench: %s accuracy %.6e violates its bound %.6e "
+                 "(%s)\n",
+                 r.name.c_str(), r.accuracy, *r.accuracy_bound,
+                 r.accuracy_metric.c_str());
+  }
+  return violated == 0 ? 0 : 1;
 }

@@ -99,6 +99,7 @@ BenchCase kworst_case() {
   bc.name = "paths.kworst_" + std::to_string(kPaths);
   bc.paper_ref = "Section II (timing analysis)";
   bc.accuracy_metric = "arrival_abs_dev_rerun_s";
+  bc.accuracy_bound = 0.0;  // reruns are bit-identical
   bc.problem_size = kPaths;
   bc.prepare = [] {
     auto state = std::make_shared<PathsState>();

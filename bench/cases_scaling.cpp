@@ -2,19 +2,25 @@
 //
 //   * speedup.rc_line_*: the Section I "1000x faster than simulation"
 //     claim on uniform RC lines -- AWE q=3 vs the fixed-step transient
-//     reference, accuracy = 50% delay disagreement;
+//     reference, accuracy = 50% delay disagreement; extra times the
+//     Section IV O(n) tree-walk Elmore path (no factorization at all);
 //   * batch.multisink32: one Engine::approximate_all over a 32-sink
 //     comb net (accuracy = worst waveform deviation vs the per-output
-//     pipelines, expected bitwise 0);
+//     pipelines, bitwise 0; extra = the per-output cost and the LU /
+//     substitution counts of both);
 //   * timing.wavefront: the levelized parallel timing analyzer
 //     (accuracy = critical-delay deviation vs the serial walk,
-//     expected bitwise 0).
+//     bitwise 0; extra = the serial walk's time and the speedup).
+//
+// Wall-time ratios ride in extra and are never gated: the host moves
+// +-20-30% run to run.
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cases.h"
@@ -22,20 +28,12 @@
 #include "circuits/paper_circuits.h"
 #include "core/engine.h"
 #include "harness.h"
-#include "sim/transient.h"
+#include "rctree/rctree.h"
 #include "timing/analyzer.h"
 
 namespace awesim::bench {
 
 namespace {
-
-core::EngineOptions bare_options(int order) {
-  core::EngineOptions opt;
-  opt.order = order;
-  opt.estimate_error = false;
-  opt.jump_consistent = false;
-  return opt;
-}
 
 struct LineState {
   circuit::Circuit ckt;
@@ -50,6 +48,7 @@ BenchCase rc_line_case(std::size_t sections, bool quick_tier) {
   c.name = "speedup.rc_line_" + std::to_string(sections);
   c.paper_ref = "Section I";
   c.accuracy_metric = "delay50_rel_err_vs_sim";
+  c.accuracy_bound = 1.4e-5;  // 2x the larger measured (6.8e-6 at 1000)
   c.problem_size = sections;
   c.quick_tier = quick_tier;
   c.prepare = [sections] {
@@ -69,11 +68,18 @@ BenchCase rc_line_case(std::size_t sections, bool quick_tier) {
           r.approximation.first_crossing(2.5, 0.0, state->horizon);
     };
     p.reference = [state] {
-      sim::TransientSimulator sim(state->ckt);
-      sim::TransientOptions sopt;
-      sopt.timestep = state->horizon / 2000.0;
-      const auto w = sim.run({state->out}, state->horizon, sopt);
-      state->delay_sim = w.first_crossing(2.5);
+      state->delay_sim =
+          simulate(state->ckt, state->out, state->horizon).first_crossing(2.5);
+    };
+    p.extra = [state] {
+      const auto tree = rctree::extract(state->ckt);
+      const double elmore_ms = median_of(time_samples_ms(
+          [&] { (void)rctree::elmore_delays(*tree); }, 25));
+      const double nan = std::numeric_limits<double>::quiet_NaN();
+      return Extras{
+          {"elmore_treewalk_ms", elmore_ms},
+          {"delay50_awe_s", state->delay_awe.value_or(nan)},
+          {"delay50_sim_s", state->delay_sim.value_or(nan)}};
     };
     p.accuracy = [state]() -> double {
       if (!state->delay_awe || !state->delay_sim ||
@@ -90,8 +96,9 @@ BenchCase rc_line_case(std::size_t sections, bool quick_tier) {
 
 constexpr std::size_t kSinks = 32;
 
-// The 32-sink interconnect comb of bench_batch_multisink: a resistive
-// spine with one RC branch and one loaded sink tap per section.
+// A 32-sink interconnect comb: a resistive spine with one RC branch and
+// one loaded sink tap per section -- the multi-sink net shape a clock or
+// high-fanout signal distribution produces.
 circuit::Circuit comb_net(std::vector<circuit::NodeId>& sinks) {
   circuit::Circuit ckt;
   const auto vin = ckt.node("in");
@@ -117,6 +124,19 @@ struct BatchState {
   circuit::Circuit ckt;
   std::vector<circuit::NodeId> sinks;
   std::vector<core::Result> batch;
+  core::Stats batch_stats;
+
+  /// What a caller without the batch API pays: a fresh pipeline (LU,
+  /// particular solutions, moment recursion) per sink.
+  std::vector<core::Result> per_output(core::Stats* stats) const {
+    std::vector<core::Result> results;
+    for (const auto sink : sinks) {
+      core::Engine engine(ckt);
+      results.push_back(engine.approximate(sink, bare_options(3)));
+      *stats += engine.stats();
+    }
+    return results;
+  }
 };
 
 BenchCase batch_case() {
@@ -124,6 +144,7 @@ BenchCase batch_case() {
   c.name = "batch.multisink32";
   c.paper_ref = "Fig. 19 (amortization)";
   c.accuracy_metric = "max_abs_dev_vs_peroutput_V";
+  c.accuracy_bound = 0.0;  // bitwise identity
   c.problem_size = kSinks;
   c.prepare = [] {
     auto state = std::make_shared<BatchState>();
@@ -131,25 +152,52 @@ BenchCase batch_case() {
     PreparedCase p;
     p.run = [state] {
       core::Engine engine(state->ckt);
-      state->batch =
-          engine.approximate_all(state->sinks, bare_options(3)).results;
+      auto batch = engine.approximate_all(state->sinks, bare_options(3));
+      state->batch = std::move(batch.results);
+      state->batch_stats = batch.stats;
     };
     p.accuracy = [state] {
       // Per-output pipelines must reproduce the batch bitwise.
+      core::Stats unused;
+      const auto singles = state->per_output(&unused);
       double max_dev = 0.0;
-      for (std::size_t i = 0; i < state->sinks.size(); ++i) {
-        core::Engine engine(state->ckt);
-        const auto single =
-            engine.approximate(state->sinks[i], bare_options(3));
+      for (std::size_t i = 0; i < singles.size(); ++i) {
         for (int k = 0; k <= 50; ++k) {
           const double t = 2e-9 * k / 50.0;
           max_dev = std::max(
               max_dev,
-              std::abs(single.approximation.value(t) -
+              std::abs(singles[i].approximation.value(t) -
                        state->batch[i].approximation.value(t)));
         }
       }
       return max_dev;
+    };
+    p.extra = [state] {
+      core::Stats per_output_stats;
+      (void)state->per_output(&per_output_stats);
+      const double per_output_ms = median_of(time_samples_ms(
+          [&] {
+            core::Stats stats;
+            (void)state->per_output(&stats);
+          },
+          9));
+      const double batch_ms = median_of(time_samples_ms(
+          [&] {
+            core::Engine engine(state->ckt);
+            (void)engine.approximate_all(state->sinks, bare_options(3));
+          },
+          9));
+      return Extras{
+          {"peroutput_ms", per_output_ms},
+          {"speedup_vs_peroutput", per_output_ms / batch_ms},
+          {"batch_factorizations",
+           static_cast<double>(state->batch_stats.factorizations)},
+          {"batch_substitutions",
+           static_cast<double>(state->batch_stats.substitutions)},
+          {"peroutput_factorizations",
+           static_cast<double>(per_output_stats.factorizations)},
+          {"peroutput_substitutions",
+           static_cast<double>(per_output_stats.substitutions)}};
     };
     return p;
   };
@@ -196,6 +244,7 @@ timing::Design wide_design(std::size_t chains) {
 struct WavefrontState {
   timing::Design design;
   timing::TimingReport parallel;
+  timing::TimingReport serial;
 
   WavefrontState() : design(wide_design(8)) {}
 };
@@ -205,6 +254,7 @@ BenchCase wavefront_case() {
   c.name = "timing.wavefront";
   c.paper_ref = "timing analyzer";
   c.accuracy_metric = "critical_delay_abs_dev_vs_serial_s";
+  c.accuracy_bound = 0.0;  // bitwise identity
   c.problem_size = 8 * 4 + 1;  // gates in wide_design(8)
   c.prepare = [] {
     auto state = std::make_shared<WavefrontState>();
@@ -217,9 +267,27 @@ BenchCase wavefront_case() {
     p.accuracy = [state] {
       timing::AnalysisOptions opt;
       opt.threads = 1;
-      const auto serial = state->design.analyze(opt);
-      return std::abs(serial.critical_delay -
+      state->serial = state->design.analyze(opt);
+      return std::abs(state->serial.critical_delay -
                       state->parallel.critical_delay);
+    };
+    p.extra = [state] {
+      const bool identical =
+          state->serial.gate_arrival == state->parallel.gate_arrival &&
+          state->serial.critical_path == state->parallel.critical_path;
+      timing::AnalysisOptions opt;
+      opt.threads = 1;
+      const double serial_ms = median_of(
+          time_samples_ms([&] { (void)state->design.analyze(opt); }, 5));
+      opt.threads = 0;
+      const double parallel_ms = median_of(
+          time_samples_ms([&] { (void)state->design.analyze(opt); }, 5));
+      return Extras{
+          {"reports_identical", identical ? 1.0 : 0.0},
+          {"serial_ms", serial_ms},
+          {"parallel_speedup", serial_ms / parallel_ms},
+          {"stages", static_cast<double>(state->parallel.stages.size())},
+          {"levels", static_cast<double>(state->parallel.levels)}};
     };
     return p;
   };

@@ -113,6 +113,7 @@ BenchCase rc_line_sweep_case() {
   bc.name = "sweep.rc_line_" + std::to_string(kSections);
   bc.paper_ref = "Section I (reuse)";
   bc.accuracy_metric = "critical_delay_abs_dev_warm_vs_cold_s";
+  bc.accuracy_bound = 0.0;  // warm reports are bit-identical to cold
   bc.problem_size = kSections;
   bc.prepare = [] {
     auto state = std::make_shared<SweepState>();
@@ -158,6 +159,7 @@ BenchCase driver_size_sweep_case() {
   bc.name = "sweep.driver_size_100";
   bc.paper_ref = "Fig. 17";
   bc.accuracy_metric = "critical_delay_abs_dev_warm_vs_cold_s";
+  bc.accuracy_bound = 0.0;  // warm reports are bit-identical to cold
   bc.problem_size = 100;  // sweep points
   bc.prepare = [] {
     auto state = std::make_shared<SweepState>();

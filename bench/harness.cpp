@@ -1,6 +1,7 @@
 #include "harness.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace awesim::bench {
@@ -43,6 +44,14 @@ void register_bench(BenchCase c) {
     throw std::invalid_argument(
         "register_bench: a case needs a name and a prepare closure");
   }
+  const bool bounded = c.accuracy_bound && std::isfinite(*c.accuracy_bound) &&
+                       *c.accuracy_bound >= 0.0;
+  if (c.accuracy_metric.empty() ? c.accuracy_bound.has_value() : !bounded) {
+    throw std::invalid_argument(
+        "register_bench: case '" + c.name +
+        "' needs a finite accuracy_bound >= 0 exactly when it names an "
+        "accuracy_metric");
+  }
   for (const auto& existing : mutable_registry()) {
     if (existing.name == c.name) {
       throw std::invalid_argument("register_bench: duplicate case '" +
@@ -59,6 +68,7 @@ BenchResult run_case(const BenchCase& c, const RunOptions& options) {
   r.name = c.name;
   r.paper_ref = c.paper_ref;
   r.accuracy_metric = c.accuracy_metric;
+  r.accuracy_bound = c.accuracy_bound;
   r.problem_size = c.problem_size;
   r.repeats = options.repeats > 0 ? options.repeats
                                   : (options.quick ? 3 : 7);
@@ -83,6 +93,12 @@ BenchResult run_case(const BenchCase& c, const RunOptions& options) {
   if (prepared.accuracy) r.accuracy = prepared.accuracy();
   if (prepared.extra) r.extra = prepared.extra();
   return r;
+}
+
+bool within_bound(const BenchResult& r) {
+  if (!r.accuracy_bound) return true;
+  // A NaN or infinite accuracy fails closed.
+  return std::isfinite(r.accuracy) && r.accuracy <= *r.accuracy_bound;
 }
 
 double speedup_vs_sim(const BenchResult& r) {
@@ -113,6 +129,8 @@ obs::json::Value to_json(const std::vector<BenchResult>& results,
     b.set("sim_ms", r.sim_ms.empty() ? Value() : samples_json(r.sim_ms));
     b.set("speedup_vs_sim", speedup_vs_sim(r));
     b.set("accuracy", r.accuracy);
+    b.set("accuracy_bound",
+          r.accuracy_bound ? Value(*r.accuracy_bound) : Value());
     b.set("accuracy_metric", r.accuracy_metric.empty()
                                  ? Value()
                                  : Value(r.accuracy_metric));
@@ -211,6 +229,17 @@ void validate_bench(const Value& b, const std::string& where,
   const Value* metric = b.find("accuracy_metric");
   require(metric != nullptr && (metric->is_null() || metric->is_string()),
           where + ".accuracy_metric must be string or null", errors);
+  // v3: a bench that names an accuracy metric carries its finite bound;
+  // one that names none carries null.
+  const Value* bound = b.find("accuracy_bound");
+  if (metric != nullptr && metric->is_string()) {
+    require(finite_number(bound),
+            where + ".accuracy_bound missing or not finite (v3)", errors);
+  } else {
+    require(bound != nullptr && bound->is_null(),
+            where + ".accuracy_bound must be null without a metric (v3)",
+            errors);
+  }
   const Value* extra = b.find("extra");
   if (extra == nullptr || !extra->is_object()) {
     errors->push_back(where + ".extra missing or not an object (v2)");

@@ -1,15 +1,18 @@
 // The machine-readable benchmark harness behind `awesim_bench`.
 //
-// Every reproduced table/figure bench used to carry its own copy of the
-// best-of-k stopwatch loop; this header is the single home for that
-// timing logic plus the registration interface the unified runner
-// consumes.  A bench registers one BenchCase (name, paper reference,
-// problem size, and a prepare() closure); the harness owns the protocol:
+// This header is the single home for the timing logic plus the
+// registration interface the unified runner consumes.  A bench registers
+// one BenchCase (name, paper reference, problem size, accuracy bound, and
+// a prepare() closure); the harness owns the protocol:
 //
 //   prepare -> one warmup rep (AWE side and, when present, the
 //   sim::transient reference) -> obs::reset_phases() -> N timed AWE
 //   repetitions -> phase snapshot -> N timed reference repetitions ->
 //   one accuracy evaluation.
+//
+// Every case that measures an accuracy declares an upper bound on it;
+// within_bound() is the gate the runner and `ctest -L paper` apply, so a
+// reproduced table or figure that drifts fails instead of printing.
 //
 // Results serialize to the schema-versioned BENCH_results.json
 // (kSchemaName / kSchemaVersion below); validate_schema() is the same
@@ -22,6 +25,7 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -35,7 +39,9 @@ inline constexpr const char* kSchemaName = "awesim-bench-results";
 /// v2: every bench carries an `extra` object of named scalar metrics
 /// (may be empty) -- service benches report qps / latency percentiles,
 /// sweep benches report stage-cache reuse and eviction counts.
-inline constexpr int kSchemaVersion = 2;
+/// v3: every bench carries `accuracy_bound` next to `accuracy` -- a
+/// finite number when the bench names an accuracy metric, else null.
+inline constexpr int kSchemaVersion = 3;
 
 using Clock = std::chrono::steady_clock;
 
@@ -49,17 +55,6 @@ double time_once_ms(F&& fn) {
   const auto t0 = Clock::now();
   fn();
   return seconds_since(t0) * 1e3;
-}
-
-/// Best (minimum) of `repeats` runs, in milliseconds.  The hoisted
-/// replacement for the per-bench `time_ms` copies.
-template <typename F>
-double time_ms_best(F&& fn, int repeats) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < repeats; ++i) {
-    best = std::min(best, time_once_ms(fn));
-  }
-  return best;
 }
 
 /// All `repeats` run times after `warmup` untimed calls, in milliseconds
@@ -81,6 +76,9 @@ double median_of(std::vector<double> samples);
 /// Minimum of the samples (NaN when empty).
 double min_of(const std::vector<double>& samples);
 
+/// Named scalar metrics, in emit order.
+using Extras = std::vector<std::pair<std::string, double>>;
+
 /// What one registered bench hands the harness after setup: the timed
 /// workload plus optional baseline and accuracy closures.  The closures
 /// may share state (e.g. the last computed approximation feeding the
@@ -96,7 +94,7 @@ struct PreparedCase {
   /// Case-specific named scalar metrics (qps, p99 latency, cache
   /// evictions), evaluated once after the timed repetitions and
   /// serialized into the result's `extra` object.  Optional.
-  std::function<std::vector<std::pair<std::string, double>>()> extra;
+  std::function<Extras()> extra;
 };
 
 struct BenchCase {
@@ -107,6 +105,10 @@ struct BenchCase {
   /// What `accuracy` measures, e.g. "rel_l2_vs_sim".  Empty when the
   /// case has no accuracy closure.
   std::string accuracy_metric;
+  /// Upper bound on `accuracy` (every metric is lower-is-better).
+  /// Required, finite and >= 0 exactly when accuracy_metric is set;
+  /// register_bench rejects any other combination.
+  std::optional<double> accuracy_bound;
   /// Characteristic size (circuit nodes, sinks, stages).
   std::size_t problem_size = 0;
   /// Included in the --quick tier (CI).  Leave true unless the case is
@@ -136,13 +138,14 @@ struct BenchResult {
   std::vector<double> sim_ms;
   /// NaN when the case registered no accuracy closure.
   double accuracy = std::numeric_limits<double>::quiet_NaN();
+  std::optional<double> accuracy_bound;
   /// Phase breakdown of the timed AWE window (true window extrema: the
   /// harness resets the registry before the timed repetitions).
   obs::PhaseBreakdown phases;
   /// Named scalar metrics from the case's extra closure, in emit order
   /// (schema v2: always serialized, possibly empty; non-finite values
   /// become null).
-  std::vector<std::pair<std::string, double>> extra;
+  Extras extra;
 };
 
 /// Register a case.  Call from the register_*_cases() functions -- the
@@ -154,6 +157,11 @@ const std::vector<BenchCase>& registry();
 
 /// Run one case under the protocol described at the top of this header.
 BenchResult run_case(const BenchCase& c, const RunOptions& options);
+
+/// The accuracy gate: true when the case declares no bound, or when its
+/// accuracy is finite and at most the bound.  A NaN accuracy fails
+/// closed.
+bool within_bound(const BenchResult& r);
 
 /// median(sim) / median(wall); NaN when the case has no reference.
 double speedup_vs_sim(const BenchResult& r);

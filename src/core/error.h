@@ -43,7 +43,7 @@ double exact_relative_error(const std::vector<PoleResidueTerm>& ref,
 /// approx are paired by pole proximity, the unmatched ref term is handled
 /// by splitting (eq. 42/43), and the individual integrals E_i (eq. 45)
 /// are summed and inflated by (q+1).  An upper bound on the exact value;
-/// see bench_ablation_order_sweep for how tight it runs in practice.
+/// the ablation.order_sweep bench case counts any sweep point below it.
 /// Only simple (power == 1) terms are supported -- repeated poles fall
 /// back to the exact estimator.
 double cauchy_relative_error(const std::vector<PoleResidueTerm>& ref,

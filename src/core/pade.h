@@ -39,7 +39,7 @@ double evaluate_terms(const std::vector<PoleResidueTerm>& terms, double t);
 
 struct MatchOptions {
   /// Apply the eq. 47 frequency scaling.  Disabled only by the ablation
-  /// bench; stiff circuits need it (see bench_ablation_freq_scaling).
+  /// bench; stiff circuits need it (see the ablation.freq_scaling case).
   bool frequency_scaling = true;
 
   /// Start of the *pole* (Hankel) window relative to the residue window:

@@ -141,10 +141,16 @@ void Server::wait() {
 
 void Server::stop() {
   if (!running_.load()) return;
-  if (stopping_.exchange(true)) {
-    // Another stop() is already tearing down; just wait for it via the
-    // joins below being idempotent is not safe -- bail.
-    return;
+  {
+    // Set the flag under both condition-variable mutexes: a worker (or a
+    // wait() caller) that has checked its predicate but not yet blocked
+    // holds its mutex, so it cannot miss the notifications below.
+    std::scoped_lock lock(queue_mutex_, wait_mutex_);
+    if (stopping_.exchange(true)) {
+      // Another stop() is already tearing down; just wait for it via the
+      // joins below being idempotent is not safe -- bail.
+      return;
+    }
   }
   wait_cv_.notify_all();
 
@@ -427,7 +433,10 @@ void Server::worker_loop() {
     write_line(*task.conn, result.line);
     task.conn->inflight.fetch_sub(1);
     if (result.shutdown) {
-      shutdown_requested_.store(true);
+      {
+        std::lock_guard<std::mutex> lock(wait_mutex_);
+        shutdown_requested_.store(true);
+      }
       wait_cv_.notify_all();
     }
   }

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -32,6 +34,29 @@ bench::RunOptions quick_two_reps() {
   opt.quick = true;
   opt.repeats = 2;
   return opt;
+}
+
+/// A test-only case whose accuracy closure returns `accuracy`, registered
+/// once under `name` with the given bound.
+const bench::BenchCase& test_case(const std::string& name, double accuracy,
+                                  double bound) {
+  bench::ensure_all_registered();
+  for (const auto& c : bench::registry()) {
+    if (c.name == name) return c;
+  }
+  bench::BenchCase c;
+  c.name = name;
+  c.paper_ref = "test";
+  c.accuracy_metric = "test_error";
+  c.accuracy_bound = bound;
+  c.prepare = [accuracy] {
+    bench::PreparedCase p;
+    p.run = [] {};
+    p.accuracy = [accuracy] { return accuracy; };
+    return p;
+  };
+  bench::register_bench(std::move(c));
+  return bench::registry().back();
 }
 
 }  // namespace
@@ -161,6 +186,98 @@ TEST(BenchJson, ValidatorRejectsTamperedDocuments) {
     tampered.set("benches", std::move(benches));
     EXPECT_FALSE(bench::validate_schema(tampered).empty());
   }
+}
+
+TEST(BenchGate, AccuracyAboveItsBoundFails) {
+  const auto& over = test_case("test.over_bound", 2e-3, 1e-3);
+  EXPECT_FALSE(bench::within_bound(bench::run_case(over, quick_two_reps())));
+  // The bound is inclusive.
+  const auto& at = test_case("test.at_bound", 1e-3, 1e-3);
+  EXPECT_TRUE(bench::within_bound(bench::run_case(at, quick_two_reps())));
+}
+
+TEST(BenchGate, NanAccuracyFailsClosed) {
+  const auto& c = test_case("test.nan_accuracy", std::nan(""), 1.0);
+  std::vector<bench::BenchResult> results;
+  results.push_back(bench::run_case(c, quick_two_reps()));
+  EXPECT_FALSE(bench::within_bound(results.front()));
+  // The failed run still serializes to a valid document: null accuracy
+  // next to its finite bound.
+  const Value parsed =
+      parse(bench::to_json(results, quick_two_reps()).dump());
+  EXPECT_TRUE(bench::validate_schema(parsed).empty());
+  const Value& b = parsed.find("benches")->at(0);
+  EXPECT_TRUE(b.find("accuracy")->is_null());
+  EXPECT_EQ(b.find("accuracy_bound")->as_number(), 1.0);
+}
+
+TEST(BenchGate, CaseWithoutBoundPassesAndSerializesNull) {
+  bench::BenchResult r;
+  EXPECT_TRUE(bench::within_bound(r));
+  r.name = "test.unbounded";
+  r.wall_ms = {1.0};
+  r.repeats = 1;
+  const Value parsed = parse(bench::to_json({r}, quick_two_reps()).dump());
+  EXPECT_TRUE(bench::validate_schema(parsed).empty());
+  EXPECT_TRUE(
+      parsed.find("benches")->at(0).find("accuracy_bound")->is_null());
+}
+
+TEST(BenchGate, RegistrationRequiresABoundExactlyWithAMetric) {
+  auto make = [](std::string metric, std::optional<double> bound) {
+    bench::BenchCase c;
+    c.name = "test.bad_registration";
+    c.accuracy_metric = std::move(metric);
+    c.accuracy_bound = bound;
+    c.prepare = [] { return bench::PreparedCase{}; };
+    return c;
+  };
+  EXPECT_THROW(bench::register_bench(make("err", std::nullopt)),
+               std::invalid_argument);
+  EXPECT_THROW(bench::register_bench(make("err", std::nan(""))),
+               std::invalid_argument);
+  EXPECT_THROW(bench::register_bench(make("err", INFINITY)),
+               std::invalid_argument);
+  EXPECT_THROW(bench::register_bench(make("err", -1.0)),
+               std::invalid_argument);
+  EXPECT_THROW(bench::register_bench(make("", 1.0)), std::invalid_argument);
+}
+
+TEST(BenchGate, ValidatorRejectsMissingOrNonFiniteBound) {
+  const auto& c = find_case("fig15.secondorder_step");
+  std::vector<bench::BenchResult> results;
+  results.push_back(bench::run_case(c, quick_two_reps()));
+  const Value doc = parse(bench::to_json(results, quick_two_reps()).dump());
+  ASSERT_TRUE(bench::validate_schema(doc).empty());
+
+  auto with_bench = [&doc](const std::function<void(Value&)>& edit) {
+    Value tampered = doc;
+    Value b = tampered.find("benches")->at(0);
+    edit(b);
+    Value benches = Value::array();
+    benches.push_back(std::move(b));
+    tampered.set("benches", std::move(benches));
+    return tampered;
+  };
+  // Missing: rebuild the bench entry without the key.
+  EXPECT_FALSE(bench::validate_schema(with_bench([](Value& b) {
+                 Value copy = Value::object();
+                 for (const auto& [key, value] : b.items()) {
+                   if (key != "accuracy_bound") copy.set(key, value);
+                 }
+                 b = std::move(copy);
+               })).empty());
+  // Non-finite: NaN and infinity serialize as null.
+  EXPECT_FALSE(bench::validate_schema(with_bench([](Value& b) {
+                 b.set("accuracy_bound", Value());
+               })).empty());
+  EXPECT_FALSE(bench::validate_schema(with_bench([](Value& b) {
+                 b.set("accuracy_bound", "0.1");
+               })).empty());
+  // A bound on a bench that names no metric is malformed too.
+  EXPECT_FALSE(bench::validate_schema(with_bench([](Value& b) {
+                 b.set("accuracy_metric", Value());
+               })).empty());
 }
 
 TEST(BenchJson, ParserRejectsMalformedText) {
