@@ -16,7 +16,7 @@
 namespace awesim::bench {
 
 /// Bare production configuration (the Fig. 19 cost model): requested
-/// order only, no q-vs-(q+1) error estimation, no sigma solves.
+/// order only, no q-vs-(q+1) error estimation, no t=0+ jump check.
 inline core::EngineOptions bare_options(int order) {
   core::EngineOptions opt;
   opt.order = order;

@@ -344,7 +344,6 @@ AuditReport audit_circuit(const circuit::Circuit& circuit,
                           const AuditOptions& options,
                           const std::string& filename) {
   AuditReport report;
-  Emitter em{&report, nullptr};
   if (!options.conditioning) return report;
   NetAssessment assessment;
   assessment.net = filename.empty() ? "circuit" : filename;

@@ -239,34 +239,40 @@ std::vector<Engine::AtomProblem>& Engine::atom_problems() {
 // One lint pass per engine, on the first approximation that asks for it.
 // Errors abort before any matrix work with the structured lint record;
 // warnings only feed the Stats tallies.
-void Engine::preflight(const EngineOptions& options) {
-  // Advisory conditioning oracle (opt-in, memoized like the lint): one
-  // assessment per engine, never blocks, only annotates Results.
-  if (options.preflight_audit && !audit_done_) {
-    audit_done_ = true;
-    check::OracleOptions oracle_options;
-    oracle_options.target_order = options.order;
-    const check::ConditioningEstimate estimate =
-        check::assess_circuit(mna_.circuit(), oracle_options);
-    if (estimate.hazard) {
-      ++stats_.conditioning_hazards;
-      Diagnostic diag;
-      diag.code = DiagCode::ConditioningHazard;
-      diag.severity = Severity::Warning;
-      diag.message = estimate.detail;
-      diag.condition_estimate =
-          check::hankel_condition(estimate.spread, options.order);
-      audit_diag_ = std::move(diag);
+const Diagnostic* Engine::preflight(const EngineOptions& options) {
+  // Advisory conditioning oracle (opt-in): one assessment per requested
+  // order, never blocks, only annotates the Results of calls that ask.
+  const Diagnostic* hazard = nullptr;
+  if (options.preflight_audit) {
+    auto it = audit_by_order_.find(options.order);
+    if (it == audit_by_order_.end()) {
+      std::optional<Diagnostic> verdict;
+      check::OracleOptions oracle_options;
+      oracle_options.target_order = options.order;
+      const check::ConditioningEstimate estimate =
+          check::assess_circuit(mna_.circuit(), oracle_options);
+      if (estimate.hazard) {
+        ++stats_.conditioning_hazards;
+        Diagnostic diag;
+        diag.code = DiagCode::ConditioningHazard;
+        diag.severity = Severity::Warning;
+        diag.message = estimate.detail;
+        diag.condition_estimate =
+            check::hankel_condition(estimate.spread, options.order);
+        verdict = std::move(diag);
+      }
+      it = audit_by_order_.emplace(options.order, std::move(verdict)).first;
     }
+    if (it->second) hazard = &*it->second;
   }
-  if (!options.preflight_lint || lint_done_) return;
+  if (!options.preflight_lint || lint_done_) return hazard;
   lint_done_ = true;
   check::LintOptions lint_options;
   lint_options.classify_note = false;
   const check::LintReport report = check::lint(mna_.circuit(), lint_options);
   stats_.lint_errors += report.errors;
   stats_.lint_warnings += report.warnings;
-  if (report.ok()) return;
+  if (report.ok()) return hazard;
   for (const auto& d : report.diagnostics) {
     if (d.severity >= Severity::Error) {
       Diagnostic fatal = d;
@@ -274,6 +280,7 @@ void Engine::preflight(const EngineOptions& options) {
       throw DiagnosticError(std::move(fatal));
     }
   }
+  return hazard;
 }
 
 Result Engine::approximate(circuit::NodeId output,
@@ -281,10 +288,10 @@ Result Engine::approximate(circuit::NodeId output,
   if (options.order < 1) {
     throw std::invalid_argument("Engine: order >= 1 required");
   }
-  preflight(options);
+  const Diagnostic* hazard = preflight(options);
   const std::size_t out = mna_.node_index(output);
   Result result = approximate_at(out, options);
-  if (audit_diag_) result.diagnostics.push_back(*audit_diag_);
+  if (hazard) result.diagnostics.push_back(*hazard);
   sync_mna_stats();
   return result;
 }
@@ -295,7 +302,7 @@ BatchResult Engine::approximate_all(
   if (options.order < 1) {
     throw std::invalid_argument("Engine: order >= 1 required");
   }
-  preflight(options);
+  const Diagnostic* hazard = preflight(options);
   std::vector<std::size_t> indices;
   indices.reserve(outputs.size());
   for (const auto output : outputs) {
@@ -327,7 +334,7 @@ BatchResult Engine::approximate_all(
   batch.results.reserve(indices.size());
   for (const std::size_t out : indices) {
     batch.results.push_back(approximate_at(out, options));
-    if (audit_diag_) batch.results.back().diagnostics.push_back(*audit_diag_);
+    if (hazard) batch.results.back().diagnostics.push_back(*hazard);
   }
   sync_mna_stats();
   batch.stats = stats_ - before;
@@ -566,6 +573,9 @@ Result Engine::approximate_at(std::size_t out,
           }
           mu.push_back(v);
         }
+      }
+      if (const auto& init = problem.moments.initialization_diagnostic()) {
+        result.diagnostics.push_back(*init);
       }
       if (fault_at("engine.moments", node_name)) {
         for (double& v : mu) v = kNan;

@@ -14,6 +14,7 @@
 //     tolerance or poles stop being stable (Sections 3.3/3.4).
 #pragma once
 
+#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -48,8 +49,11 @@ struct EngineOptions {
   /// ramp responses at the cost of one high-order moment.
   bool match_initial_slope = false;
 
-  /// Replace mu_{-1} with the sigma-limit consistent initial value when
-  /// the response jumps at t=0+ (capacitively coupled outputs).
+  /// Replace mu_{-1} with the consistent initial value x_h(0+) of the
+  /// t=0+ circuit when the response jumps at t=0+ (capacitively coupled
+  /// outputs, nodes without capacitance).  Free when x_h0 already meets
+  /// the t=0+ constraints, as for every ramp drive; otherwise one
+  /// factorization of the t=0+ system per circuit.
   bool jump_consistent = true;
 
   /// Use the paper's Cauchy-inequality error bound instead of the exact
@@ -257,7 +261,9 @@ class Engine {
 
   std::vector<AtomProblem>& atom_problems();
   const la::RealVector& equilibrium();
-  void preflight(const EngineOptions& options);
+  // Returns the conditioning-hazard record for options.order when
+  // options.preflight_audit is set and the oracle flagged that order.
+  const Diagnostic* preflight(const EngineOptions& options);
   Result approximate_at(std::size_t out, const EngineOptions& options);
   MatchResult attempt_order(const std::vector<double>& mu, int j0, int qq,
                             const EngineOptions& options,
@@ -273,8 +279,8 @@ class Engine {
   std::vector<AtomProblem> atoms_;
   bool atoms_built_ = false;
   bool lint_done_ = false;
-  bool audit_done_ = false;
-  std::optional<Diagnostic> audit_diag_;
+  // Conditioning-oracle verdict per requested order (memoized).
+  std::map<int, std::optional<Diagnostic>> audit_by_order_;
   std::optional<la::RealVector> x_eq_;
   Stats stats_;
 };

@@ -12,13 +12,13 @@ namespace awesim::core {
 
 namespace {
 
-// Sigma for the s->infinity limits, as a multiple of the dominant natural
-// frequency.  Richardson extrapolation squares the relative truncation
-// error, so 1e6 here yields ~1e-12.
-constexpr double kSigmaFactor = 1e6;
+// Largest relative violation of the t=0+ constraints that still counts
+// as rounding: x_h0 of a ramp atom meets them up to the residual of the
+// LU solves that produced it.
+constexpr double kConsistencyTolerance = 1e-12;
 
-// Relative deviation beyond which the sigma-limit initial value replaces
-// the nominal x_h0 entry (i.e. the response genuinely jumps at t=0+).
+// Relative deviation beyond which the t=0+ initial value replaces the
+// nominal x_h0 entry (i.e. the response genuinely jumps at t=0+).
 constexpr double kJumpTolerance = 1e-6;
 
 }  // namespace
@@ -37,8 +37,17 @@ const la::RealVector& MomentSequence::mu(int j) {
   if (j == -1) return mu_minus1_;
   if (j == -2) {
     if (!have_minus2_) {
-      mu_minus2_ = sigma_limit(1);
-      for (auto& v : mu_minus2_) v = -v;  // mu_{-2} = -x_h'(0+)
+      // x_h'(0+): C x' = -G x(0+) on the dynamic rows, P G x' = 0.
+      la::RealVector rhs = mna_->apply_G(consistent_initial_value());
+      for (auto& v : rhs) v = -v;
+      try {
+        mu_minus2_ = mna_->solve_initial(rhs);
+        for (auto& v : mu_minus2_) v = -v;  // mu_{-2} = -x_h'(0+)
+      } catch (const la::SingularMatrixError& e) {
+        note_singular_initial(e.pivot_index());
+        mu_minus2_.assign(x_h0_.size(),
+                          std::numeric_limits<double>::quiet_NaN());
+      }
       have_minus2_ = true;
     }
     return mu_minus2_;
@@ -97,88 +106,38 @@ void MomentSequence::ensure_all(
   }
 }
 
-la::RealVector MomentSequence::sigma_limit(int derivative_order) {
-  // Evaluate f(sigma) = sigma (G + sigma C)^{-1} C x_h0 -> x_h(0+), and
-  // g(sigma) = sigma (f(sigma) - x_h(0+)) -> x_h'(0+), with one Richardson
-  // step each to cancel the leading O(1/sigma) truncation term.
-  //
-  // The limit needs sigma >> |fastest pole|, which is not known a priori
-  // for stiff circuits (and the dominant-pole moment ratio badly
-  // underestimates it).  So walk sigma upward by factors of 100 until two
-  // successive Richardson estimates agree.
-  const std::size_t n = mna_->dim();
-  // Starting scale: the dominant pole magnitude from the moment ratio.
-  const double n0 = la::norm2(mu(0));
-  const double n1 = la::norm2(mu(1));
-  const double gamma = (n0 > 0.0 && n1 > 0.0) ? n0 / n1 : 1.0;
-
-  auto f_of = [&](double sigma) {
-    la::RealVector rhs = mna_->apply_C(x_h0_);
-    for (auto& v : rhs) v *= sigma;
-    return mna_->shifted(sigma).solve(rhs);
-  };
-  auto richardson_at = [&](double sigma) {
-    const la::RealVector f1 = f_of(sigma);
-    const la::RealVector f2 = f_of(2.0 * sigma);
-    la::RealVector x(n);
-    for (std::size_t i = 0; i < n; ++i) x[i] = 2.0 * f2[i] - f1[i];
-    return x;
-  };
-
-  double sigma0 = kSigmaFactor * gamma;
-  la::RealVector x0plus = richardson_at(sigma0);
-  for (int iter = 0; iter < 8; ++iter) {
-    const double next_sigma = sigma0 * 100.0;
-    const la::RealVector next = richardson_at(next_sigma);
-    const double scale = std::max(la::norm2(next), la::norm2(x0plus));
-    const double diff = la::norm2(la::subtract(next, x0plus));
-    sigma0 = next_sigma;
-    x0plus = next;
-    if (scale == 0.0 || diff <= 1e-9 * scale) break;
-  }
-  if (derivative_order == 0) return x0plus;
-
-  // g(sigma) = sigma (f(sigma) - x0plus) -> x_h'(0+).  Here sigma must be
-  // large enough for truncation but not so large that the subtraction
-  // cancels to rounding noise, so run a separate walk and keep the
-  // estimate at which successive iterates agree best.
-  auto slope_at = [&](double sigma) {
-    const la::RealVector fa = f_of(sigma);
-    const la::RealVector fb = f_of(2.0 * sigma);
-    la::RealVector s(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double ga = sigma * (fa[i] - x0plus[i]);
-      const double gb = 2.0 * sigma * (fb[i] - x0plus[i]);
-      s[i] = 2.0 * gb - ga;
-    }
-    return s;
-  };
-  double sigma_s = kSigmaFactor * gamma;
-  la::RealVector slope = slope_at(sigma_s);
-  la::RealVector best = slope;
-  double best_diff = std::numeric_limits<double>::infinity();
-  for (int iter = 0; iter < 6; ++iter) {
-    sigma_s *= 100.0;
-    const la::RealVector next = slope_at(sigma_s);
-    const double scale = std::max(la::norm2(next), la::norm2(slope));
-    const double diff =
-        scale > 0.0 ? la::norm2(la::subtract(next, slope)) / scale : 0.0;
-    if (diff < best_diff) {
-      best_diff = diff;
-      best = next;
-    }
-    slope = next;
-    if (diff <= 1e-7) break;
-  }
-  return best;
-}
-
 const la::RealVector& MomentSequence::consistent_initial_value() {
   if (!have_consistent_) {
-    consistent_x0_ = sigma_limit(0);
     have_consistent_ = true;
+    consistent_x0_ = x_h0_;
+    // P is complete for R/C/L/source circuits, so meeting it proves there
+    // is no jump.  A macro with a singular C block could hide a
+    // constraint, so with macros the t=0+ system is always solved: a
+    // hidden constraint then surfaces as a singular t=0+ system.
+    const bool meets_constraints =
+        mna_->circuit().macros().empty() &&
+        mna_->constraint_violation(x_h0_) <= kConsistencyTolerance;
+    if (!meets_constraints) {
+      try {
+        consistent_x0_ = mna_->solve_initial(mna_->apply_C(x_h0_));
+      } catch (const la::SingularMatrixError& e) {
+        note_singular_initial(e.pivot_index());
+      }
+    }
   }
   return consistent_x0_;
+}
+
+void MomentSequence::note_singular_initial(std::size_t pivot_index) {
+  if (init_diagnostic_) return;
+  Diagnostic d;
+  d.code = DiagCode::SingularPivot;
+  d.severity = Severity::Warning;
+  d.message =
+      "t=0+ circuit singular at pivot " + std::to_string(pivot_index) +
+      ": the initial state is not determined (an impulse at t=0 reaches a "
+      "node without capacitance?); x(0-) used without jump correction";
+  init_diagnostic_ = std::move(d);
 }
 
 bool MomentSequence::has_jump(std::size_t index) {

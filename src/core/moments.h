@@ -19,11 +19,22 @@
 // eq. (24) a plain Hankel system.  Optionally mu_{-2} = -x_h'(0+) extends
 // the window downward to pin the initial slope (Section 4.3's m_{-2}
 // matching for ramp inputs).
+//
+// The t=0+ state comes from the t=0+ circuit (eq. 8, Section IV): the
+// algebraic rows P G x = 0 hold at 0+, and C x changes across t=0 only
+// through impulses in the unknowns C cannot see (capacitive division;
+// see MnaSystem::constraint_violation and solve_initial).  When x_h0
+// already meets the constraints -- every ramp-driven stage -- x_h(0+) =
+// x_h0 with no matrix work; otherwise one factorization of the t=0+
+// system gives x_h(0+), and a second solve with the same factor gives
+// x_h'(0+).
 #pragma once
 
 #include <map>
+#include <optional>
 #include <vector>
 
+#include "core/diagnostic.h"
 #include "la/matrix.h"
 #include "mna/system.h"
 
@@ -38,7 +49,9 @@ class MomentSequence {
 
   /// Moment vector mu_j, j >= -2.  Vectors are cached; each new positive
   /// order costs one forward/back substitution with the shared LU of G.
-  /// j = -2 triggers the sigma-limit slope computation (see below).
+  /// j = -2 solves the t=0+ system for the initial slope; when that
+  /// system is singular it is NaN and initialization_diagnostic() says
+  /// why.
   const la::RealVector& mu(int j);
 
   /// Scalar moment at one unknown index.
@@ -50,8 +63,8 @@ class MomentSequence {
 
   /// Advance several sequences that share one MnaSystem in lock step:
   /// at each moment order the pending right-hand sides of all sequences
-  /// are solved as one multi-RHS block against the single cached LU of
-  /// G.  Values are bitwise identical to growing each sequence lazily;
+  /// are solved against the single cached LU of G.  Values are bitwise
+  /// identical to growing each sequence lazily;
   /// this is the batch engine's "build the full-state moment vectors
   /// once" path.  Throws std::invalid_argument if the sequences do not
   /// all reference the same system.
@@ -60,8 +73,9 @@ class MomentSequence {
 
   /// The consistent transient initial value x_h(0+), equal to x_h0 except
   /// when the stimulus forces an instantaneous (capacitive) jump.
-  /// Computed once by Richardson-extrapolated evaluation of
-  /// sigma*(G + sigma*C)^{-1} C x_h0 at large sigma.
+  /// Exactly x_h0 when x_h0 meets the t=0+ constraints; otherwise the
+  /// solution of the t=0+ system.  If that system is singular, x_h0,
+  /// with initialization_diagnostic() set.
   const la::RealVector& consistent_initial_value();
 
   /// True if x_h(0+) differs materially from x_h0 at any unknown (the
@@ -75,8 +89,16 @@ class MomentSequence {
 
   const la::RealVector& x_h0() const { return x_h0_; }
 
+  /// Set when the t=0+ system proved singular (SingularPivot): the t=0+
+  /// state is not determined by the circuit, e.g. a controlled source
+  /// copies a voltage source's impulse current into a node without
+  /// capacitance.  No jump correction is applied.
+  const std::optional<Diagnostic>& initialization_diagnostic() const {
+    return init_diagnostic_;
+  }
+
  private:
-  la::RealVector sigma_limit(int derivative_order);
+  void note_singular_initial(std::size_t pivot_index);
 
   const mna::MnaSystem* mna_;
   la::RealVector x_h0_;
@@ -86,6 +108,7 @@ class MomentSequence {
   la::RealVector mu_minus2_;
   bool have_consistent_ = false;
   la::RealVector consistent_x0_;
+  std::optional<Diagnostic> init_diagnostic_;
 };
 
 /// The actual natural frequencies of the circuit: p = -1/lambda for the

@@ -20,7 +20,8 @@
 namespace awesim::core {
 
 struct Stats {
-  /// LU factorizations of (G + aC), all shifts included.
+  /// LU factorizations: of G, and of the t=0+ system when a stimulus
+  /// forces a jump or the initial slope is matched.
   std::uint64_t factorizations = 0;
 
   /// Forward/back substitutions with the cached factorization of G

@@ -28,11 +28,28 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
   perm_.resize(n);
   std::iota(perm_.begin(), perm_.end(), std::size_t{0});
 
+  // Row envelopes of the input: first nonzero column and one past the
+  // last.  An empty row gets lo = n, hi = 0.
+  lo_.assign(n, n);
+  hi_.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const T* row = lu_.row(i);
+    for (std::size_t j = 0; j < n; ++j) {
+      if (row[j] != T{}) {
+        lo_[i] = std::min(lo_[i], j);
+        hi_[i] = j + 1;
+      }
+    }
+  }
+
   for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivoting: pick the largest magnitude in column k at/below k.
+    // Partial pivoting: pick the largest magnitude in column k at/below
+    // k.  A row whose envelope starts right of k holds an exact zero
+    // there and can never win.
     std::size_t pivot_row = k;
     double pivot_mag = std::abs(lu_(k, k));
     for (std::size_t i = k + 1; i < n; ++i) {
+      if (lo_[i] > k) continue;
       const double mag = std::abs(lu_(i, k));
       if (mag > pivot_mag) {
         pivot_mag = mag;
@@ -43,19 +60,29 @@ Lu<T>::Lu(Matrix<T> a) : lu_(std::move(a)) {
       throw SingularMatrixError(k);
     }
     if (pivot_row != k) {
-      for (std::size_t j = 0; j < n; ++j) {
-        std::swap(lu_(k, j), lu_(pivot_row, j));
-      }
+      // Outside the union of the two envelopes both rows hold zeros.
+      const std::size_t from = std::min(lo_[k], lo_[pivot_row]);
+      const std::size_t to = std::max(hi_[k], hi_[pivot_row]);
+      std::swap_ranges(lu_.row(k) + from, lu_.row(k) + to,
+                       lu_.row(pivot_row) + from);
+      std::swap(lo_[k], lo_[pivot_row]);
+      std::swap(hi_[k], hi_[pivot_row]);
       std::swap(perm_[k], perm_[pivot_row]);
       perm_sign_ = -perm_sign_;
     }
-    const T pivot = lu_(k, k);
+    const T* const pivot_row_data = lu_.row(k);
+    const T pivot = pivot_row_data[k];
+    const std::size_t hi_k = hi_[k];
     for (std::size_t i = k + 1; i < n; ++i) {
-      const T mult = lu_(i, k) / pivot;
-      lu_(i, k) = mult;
+      if (lo_[i] > k) continue;  // multiplier is an exact zero
+      T* const row = lu_.row(i);
+      const T mult = row[k] / pivot;
+      row[k] = mult;
       if (mult == T{}) continue;
-      for (std::size_t j = k + 1; j < n; ++j) {
-        lu_(i, j) -= mult * lu_(k, j);
+      // Fill: row i now reaches as far right as the pivot row.
+      hi_[i] = std::max(hi_[i], hi_k);
+      for (std::size_t j = k + 1; j < hi_k; ++j) {
+        row[j] -= mult * pivot_row_data[j];
       }
     }
   }
@@ -67,19 +94,22 @@ std::vector<T> Lu<T>::solve(const std::vector<T>& b) const {
   if (b.size() != n) {
     throw std::invalid_argument("Lu::solve: rhs size mismatch");
   }
-  // Apply permutation, then forward substitution with unit-lower L.
+  // Apply permutation, then forward substitution with unit-lower L over
+  // each row's envelope [lo_i, i).
   std::vector<T> x(n);
   for (std::size_t i = 0; i < n; ++i) x[i] = b[perm_[i]];
   for (std::size_t i = 1; i < n; ++i) {
+    const T* const row = lu_.row(i);
     T acc = x[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= lu_(i, j) * x[j];
+    for (std::size_t j = lo_[i]; j < i; ++j) acc -= row[j] * x[j];
     x[i] = acc;
   }
-  // Back substitution with U.
+  // Back substitution with U over (i, hi_i).
   for (std::size_t ii = n; ii-- > 0;) {
+    const T* const row = lu_.row(ii);
     T acc = x[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= lu_(ii, j) * x[j];
-    x[ii] = acc / lu_(ii, ii);
+    for (std::size_t j = ii + 1; j < hi_[ii]; ++j) acc -= row[j] * x[j];
+    x[ii] = acc / row[ii];
   }
   return x;
 }
@@ -87,53 +117,9 @@ std::vector<T> Lu<T>::solve(const std::vector<T>& b) const {
 template <typename T>
 std::vector<std::vector<T>> Lu<T>::solve_multi(
     const std::vector<std::vector<T>>& bs) const {
-  const std::size_t n = size();
-  constexpr std::size_t kPanel = 8;
-  // Panel scratch, column-major (column r at panel + r*n), reused across
-  // panels and calls so the hot path never touches the allocator.
-  static thread_local std::vector<T> arena;
-  if (arena.size() < n * kPanel) arena.resize(n * kPanel);
-  T* const panel = arena.data();
-
-  std::vector<std::vector<T>> xs(bs.size());
-  for (std::size_t b0 = 0; b0 < bs.size(); b0 += kPanel) {
-    const std::size_t width = std::min(kPanel, bs.size() - b0);
-    for (std::size_t r = 0; r < width; ++r) {
-      const std::vector<T>& b = bs[b0 + r];
-      if (b.size() != n) {
-        throw std::invalid_argument("Lu::solve_multi: rhs size mismatch");
-      }
-      T* const col = panel + r * n;
-      for (std::size_t i = 0; i < n; ++i) col[i] = b[perm_[i]];
-    }
-    // Forward with unit-lower L: each factor row is read once and
-    // applied to every right-hand side in the panel.  The per-RHS
-    // operation sequence matches solve() exactly.
-    for (std::size_t i = 1; i < n; ++i) {
-      for (std::size_t j = 0; j < i; ++j) {
-        const T lij = lu_(i, j);
-        for (std::size_t r = 0; r < width; ++r) {
-          panel[r * n + i] -= lij * panel[r * n + j];
-        }
-      }
-    }
-    // Back substitution with U.
-    for (std::size_t ii = n; ii-- > 0;) {
-      for (std::size_t j = ii + 1; j < n; ++j) {
-        const T uij = lu_(ii, j);
-        for (std::size_t r = 0; r < width; ++r) {
-          panel[r * n + ii] -= uij * panel[r * n + j];
-        }
-      }
-      const T diag = lu_(ii, ii);
-      for (std::size_t r = 0; r < width; ++r) {
-        panel[r * n + ii] = panel[r * n + ii] / diag;
-      }
-    }
-    for (std::size_t r = 0; r < width; ++r) {
-      xs[b0 + r].assign(panel + r * n, panel + (r + 1) * n);
-    }
-  }
+  std::vector<std::vector<T>> xs;
+  xs.reserve(bs.size());
+  for (const std::vector<T>& b : bs) xs.push_back(solve(b));
   return xs;
 }
 

@@ -5,6 +5,12 @@
 // paper: "once the H-matrix is LU-factored the major task in computing even
 // higher moments is repeated forward- and back-substitution").  The
 // factorization object is therefore kept around and re-applied.
+//
+// RC line and tree MNA matrices are banded or nearly so, so the factor
+// keeps each row's envelope -- the first nonzero column of L and one
+// past the last nonzero column of U -- and elimination and substitution
+// touch only that span.  Every skipped term is an exact zero, so the
+// results are bitwise those of the full O(n^2)-per-solve loops.
 #pragma once
 
 #include <optional>
@@ -45,11 +51,8 @@ class Lu {
   /// Solve A x = b.  b.size() must equal size().
   std::vector<T> solve(const std::vector<T>& b) const;
 
-  /// Batched solve with cache-blocked panels: the factor's rows are
-  /// streamed once per panel of up to 8 right-hand sides instead of once
-  /// per vector.  Per-RHS results are bitwise identical to solve() --
-  /// the arithmetic order within each right-hand side is unchanged, only
-  /// the traversal of the factor is shared.
+  /// Solve for several right-hand sides, one solve() each (same
+  /// interface as SparseLu::solve_multi).
   std::vector<std::vector<T>> solve_multi(
       const std::vector<std::vector<T>>& bs) const;
 
@@ -70,6 +73,10 @@ class Lu {
  private:
   Matrix<T> lu_;               // combined L (unit diagonal) and U factors
   std::vector<std::size_t> perm_;  // row permutation
+  // Row envelopes, moved with their rows by pivoting and widened by
+  // fill: L(i, j) == 0 for j < lo_[i], U(i, j) == 0 for j >= hi_[i].
+  std::vector<std::size_t> lo_;
+  std::vector<std::size_t> hi_;
   int perm_sign_ = 1;
 };
 

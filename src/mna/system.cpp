@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <queue>
 #include <stdexcept>
 
@@ -19,6 +20,11 @@ namespace {
 // Times closer than this (relative to the overall stimulus span) are merged
 // into one event.
 constexpr double kEventMergeTolerance = 1e-15;
+
+// A capacitor island whose C column sums vanish to within this fraction
+// of the column's magnitude does not reach ground (the sums are of
+// stamped +c/-c pairs, so only rounding remains).
+constexpr double kFloatingIslandTolerance = 1e-12;
 
 }  // namespace
 
@@ -460,6 +466,195 @@ const Solver& MnaSystem::shifted(double a) const {
     it = shifted_.emplace(a, std::make_unique<Solver>(factor(a))).first;
   }
   return *it->second;
+}
+
+la::RealVector MnaSystem::apply_G(const la::RealVector& x) const {
+  la::RealVector y = g_sparse_.apply(x);
+  if (used_gmin()) {
+    const std::size_t num_nodes = ckt_->node_count() - 1;
+    for (std::size_t i = 0; i < num_nodes; ++i) y[i] += options_.gmin * x[i];
+  }
+  return y;
+}
+
+void MnaSystem::build_constraints() const {
+  // Capacitor islands: connected components of C's nonzero pattern.
+  std::vector<std::size_t> parent(dim_);
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto find = [&](std::size_t i) {
+    while (parent[i] != i) i = parent[i] = parent[parent[i]];
+    return i;
+  };
+  const auto& start = c_sparse_.col_start();
+  const auto& rows = c_sparse_.row_index();
+  const auto& vals = c_sparse_.values();
+  std::vector<bool> dynamic(dim_, false);
+  for (std::size_t j = 0; j < dim_; ++j) {
+    for (std::size_t k = start[j]; k < start[j + 1]; ++k) {
+      if (vals[k] == 0.0) continue;
+      dynamic[rows[k]] = true;
+      const std::size_t a = find(rows[k]);
+      const std::size_t b = find(j);
+      if (a != b) parent[std::max(a, b)] = std::min(a, b);
+    }
+  }
+  // An island floats when every column sum vanishes: its rows of C add
+  // up to zero, so their G rows add up to one constraint.
+  std::vector<bool> floating(dim_, true);
+  for (std::size_t j = 0; j < dim_; ++j) {
+    double sum = 0.0;
+    double mag = 0.0;
+    for (std::size_t k = start[j]; k < start[j + 1]; ++k) {
+      sum += vals[k];
+      mag += std::abs(vals[k]);
+    }
+    if (std::abs(sum) > kFloatingIslandTolerance * mag) {
+      floating[find(j)] = false;
+    }
+  }
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> group_of_root(dim_, dim_);
+  for (std::size_t i = 0; i < dim_; ++i) {
+    if (!dynamic[i]) {
+      groups.push_back({i});
+      continue;
+    }
+    const std::size_t root = find(i);
+    if (!floating[root]) continue;
+    if (group_of_root[root] == dim_) {
+      group_of_root[root] = groups.size();
+      groups.emplace_back();
+    }
+    groups[group_of_root[root]].push_back(i);
+  }
+  constraint_groups_ = std::move(groups);
+}
+
+double MnaSystem::constraint_violation(const la::RealVector& x) const {
+  if (!constraint_groups_) build_constraints();
+  const la::RealVector gx = apply_G(x);
+  // Row magnitudes sum_j |G_ij x_j|, gmin diagonal included.
+  la::RealVector mag(dim_, 0.0);
+  const auto& start = g_sparse_.col_start();
+  const auto& rows = g_sparse_.row_index();
+  const auto& vals = g_sparse_.values();
+  for (std::size_t j = 0; j < dim_; ++j) {
+    for (std::size_t k = start[j]; k < start[j + 1]; ++k) {
+      mag[rows[k]] += std::abs(vals[k] * x[j]);
+    }
+  }
+  if (used_gmin()) {
+    const std::size_t num_nodes = ckt_->node_count() - 1;
+    for (std::size_t i = 0; i < num_nodes; ++i) {
+      mag[i] += std::abs(options_.gmin * x[i]);
+    }
+  }
+  double worst = 0.0;
+  for (const auto& group : *constraint_groups_) {
+    double sum = 0.0;
+    double scale = 0.0;
+    for (const std::size_t r : group) {
+      sum += gx[r];
+      scale += mag[r];
+    }
+    if (sum != 0.0) worst = std::max(worst, std::abs(sum) / scale);
+  }
+  return worst;
+}
+
+void MnaSystem::factor_initial() const {
+  AWESIM_TRACE_SPAN("mna.factor");
+  if (!constraint_groups_) build_constraints();
+  const std::vector<std::vector<std::size_t>>& groups = *constraint_groups_;
+  const std::size_t ng = groups.size();
+  std::vector<std::size_t> group_of(dim_, ng);  // ng: no group
+  for (std::size_t g = 0; g < ng; ++g) {
+    for (const std::size_t r : groups[g]) group_of[r] = g;
+  }
+  std::vector<la::Triplet> g_eff = g_triplets_;  // G as solve() factors it
+  if (used_gmin()) {
+    for (std::size_t i = 0; i + 1 < ckt_->node_count(); ++i) {
+      g_eff.push_back({i, i, options_.gmin});
+    }
+  }
+  // An impulsive pair: a constraint group g = {r} whose row and column of
+  // P G Z are both zero, e.g. the branch of a voltage source whose
+  // terminals both carry capacitance.  Its variable x_r(0+) is then not
+  // fixed at t=0+ (it takes part in the impulse), so row r of the charge
+  // block pins it to 0; the impulse y_g still enters every other row.
+  std::map<std::pair<std::size_t, std::size_t>, double> pgz;
+  for (const auto& t : g_eff) {
+    if (group_of[t.row] < ng && group_of[t.col] < ng) {
+      pgz[{group_of[t.row], group_of[t.col]}] += t.value;
+    }
+  }
+  std::vector<bool> coupled(ng, false);
+  for (const auto& [key, value] : pgz) {
+    if (value != 0.0) coupled[key.first] = coupled[key.second] = true;
+  }
+  std::vector<bool> pinned(dim_, false);
+  for (std::size_t g = 0; g < ng; ++g) {
+    if (!coupled[g] && groups[g].size() == 1) pinned[groups[g].front()] = true;
+  }
+
+  // K = [C, G Z; P G, 0] over (x(0+), y): charge balance with impulses
+  // y through the unknowns C cannot see, and the algebraic constraints.
+  std::vector<la::Triplet> t;
+  t.reserve(c_triplets_.size() + 2 * g_eff.size() + dim_);
+  for (const auto& trip : c_triplets_) {
+    if (!pinned[trip.row]) t.push_back(trip);
+  }
+  for (std::size_t r = 0; r < dim_; ++r) {
+    if (pinned[r]) t.push_back({r, r, 1.0});
+  }
+  for (const auto& trip : g_eff) {
+    if (group_of[trip.col] < ng && !pinned[trip.row]) {
+      t.push_back({trip.row, dim_ + group_of[trip.col], trip.value});
+    }
+    if (group_of[trip.row] < ng) {
+      t.push_back({dim_ + group_of[trip.row], trip.col, trip.value});
+    }
+  }
+  // C rows are farads, G rows siemens: scale every row by a power of
+  // two to unit magnitude so partial pivoting compares like with like.
+  const std::size_t size = dim_ + ng;
+  la::RealVector row_max(size, 0.0);
+  for (const auto& trip : t) {
+    row_max[trip.row] = std::max(row_max[trip.row], std::abs(trip.value));
+  }
+  initial_scale_.assign(size, 1.0);
+  for (std::size_t r = 0; r < size; ++r) {
+    int exponent = 0;
+    std::frexp(row_max[r], &exponent);
+    initial_scale_[r] = std::ldexp(1.0, -exponent);
+  }
+  for (auto& trip : t) trip.value *= initial_scale_[trip.row];
+  const la::SparseMatrix k = la::SparseMatrix::from_triplets(size, size, t);
+  ++solve_stats_.factorizations;
+  try {
+    initial_solver_ =
+        size >= options_.sparse_threshold
+            ? std::make_unique<Solver>(la::SparseLu(k))
+            : std::make_unique<Solver>(la::Lu<double>(k.to_dense()));
+  } catch (const la::SingularMatrixError& e) {
+    initial_singular_at_ = e.pivot_index();
+    throw;
+  }
+}
+
+la::RealVector MnaSystem::solve_initial(const la::RealVector& rhs) const {
+  if (initial_singular_at_) throw la::SingularMatrixError(*initial_singular_at_);
+  if (!initial_solver_) factor_initial();
+  // Charge rows take the caller's targets, except the rows where C is
+  // empty (their target is 0 by definition); constraint rows take 0.
+  la::RealVector b(initial_scale_.size(), 0.0);
+  for (std::size_t r = 0; r < dim_; ++r) b[r] = rhs[r] * initial_scale_[r];
+  for (const auto& group : *constraint_groups_) {
+    if (group.size() == 1) b[group.front()] = 0.0;
+  }
+  la::RealVector x = initial_solver_->solve(b);
+  x.resize(dim_);
+  return x;
 }
 
 bool MnaSystem::used_gmin() const {

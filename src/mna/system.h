@@ -16,9 +16,10 @@
 //
 // Matrices are assembled as sparse triplets; small systems factor densely,
 // large ones use the sparse Gilbert-Peierls LU with RCM ordering -- either
-// way a single factorization of G is cached and reused for every moment,
-// and shifted systems (G + aC) needed by the simulator's companion models
-// and the sigma-limit computations are cached per coefficient a.
+// way a single factorization of G is cached and reused for every moment.
+// The shifted systems (G + aC) of the simulator's companion models are
+// cached per coefficient a, and the t=0+ system that fixes a transient's
+// consistent initial state (solve_initial) is factored at most once.
 #pragma once
 
 #include <map>
@@ -98,8 +99,8 @@ class Solver {
                       impl_);
   }
 
-  /// Batched solve via the cache-blocked panel kernels; per-RHS results
-  /// are bitwise identical to solve() on each vector in order.
+  /// Solve for several right-hand sides; per-RHS results are bitwise
+  /// identical to solve() on each vector in order.
   std::vector<la::RealVector> solve_multi(
       const std::vector<la::RealVector>& rhs) const {
     return std::visit([&](const auto& lu) { return lu.solve_multi(rhs); },
@@ -190,9 +191,39 @@ class MnaSystem {
   const SolveStats& solve_stats() const { return solve_stats_; }
 
   /// Factored (G + a*C); cached per coefficient.  Used by the transient
-  /// simulator's companion models (a = 1/h or 2/h) and by the
-  /// sigma-limit initial-value computations (a = sigma).
+  /// simulator's companion models (a = 1/h or 2/h).
   const Solver& shifted(double a) const;
+
+  /// y = G x with the G that solve() factors (the gmin leak included
+  /// when the factorization needed it).
+  la::RealVector apply_G(const la::RealVector& x) const;
+
+  /// The algebraic part of G x + C x' = b.  A left null vector p of C
+  /// gives the constraint p^T G x = p^T b at every instant; P stacks
+  /// one per row where C is empty and one per capacitor island that does
+  /// not reach ground (the island's rows summed: charge conservation).
+  /// Returns the largest relative violation |(P G x)_k| / (P |G| |x|)_k
+  /// of the homogeneous constraints P G x = 0 (0 if all hold exactly).
+  /// P is complete for circuits of R, C, L and sources; a macro whose C
+  /// block is singular can hide further constraints.
+  double constraint_violation(const la::RealVector& x) const;
+
+  /// Solve the t=0+ system (eq. 8 of the paper: the DC solve of the
+  /// t=0+ circuit) for x(0+):
+  ///
+  ///     C x + G Z y = rhs        charge balance; Z = P^T spans the
+  ///                              unknowns C cannot see, y their impulses
+  ///     P G x       = 0          the algebraic constraints at 0+
+  ///
+  /// With rhs = C x(0-) this gives x(0+); with rhs = -G x(0+) it gives
+  /// x'(0+).  Entries of rhs on rows where C is empty are ignored (taken
+  /// as 0).  A voltage source whose terminals both carry capacitance
+  /// charges them through an impulse (capacitive division); its branch
+  /// current is then not fixed at t=0+ and is returned as 0.  The matrix
+  /// is factored on first use, once per system, rows scaled by powers of
+  /// two to unit magnitude.  Throws la::SingularMatrixError when it is
+  /// singular: the t=0+ state is not determined by the circuit.
+  la::RealVector solve_initial(const la::RealVector& rhs) const;
 
   /// The cached factorization of G as a shareable handle (factoring it
   /// now if this system never solved).  The handle stays valid after the
@@ -221,6 +252,8 @@ class MnaSystem {
   void stamp(const circuit::Circuit& ckt);
   void build_events(const circuit::Circuit& ckt);
   Solver factor(double shift) const;  // builds (G + shift*C) solver
+  void build_constraints() const;     // fills constraint_groups_
+  void factor_initial() const;        // fills initial_solver_/scale_
 
   const circuit::Circuit* ckt_;
   Options options_;
@@ -238,6 +271,13 @@ class MnaSystem {
   std::vector<std::pair<std::string, std::size_t>> branch_indices_;
   mutable std::shared_ptr<const Solver> g_solver_;
   mutable std::map<double, std::unique_ptr<Solver>> shifted_;
+  // P as row groups (each group's G rows sum to one constraint; the same
+  // groups as indicator columns are Z); built on first use.
+  mutable std::optional<std::vector<std::vector<std::size_t>>>
+      constraint_groups_;
+  mutable std::unique_ptr<Solver> initial_solver_;
+  mutable la::RealVector initial_scale_;  // row scaling of the t=0+ matrix
+  mutable std::optional<std::size_t> initial_singular_at_;  // its bad pivot
   mutable bool used_gmin_ = false;
   mutable SolveStats solve_stats_;
   mutable core::Diagnostics diagnostics_;

@@ -398,6 +398,35 @@ TEST(EnginePreflight, AuditAnnotatesResultsWithoutChangingThem) {
   EXPECT_EQ(audited.stats().conditioning_hazards, 1u);
 }
 
+TEST(EnginePreflight, VerdictFollowsEachCallsOrder) {
+  // Figs. 20/21: q=1 lies outside the oracle's safe window, q=2 inside.
+  // One Engine, q=1 then q=2: only the q=1 result carries the hazard,
+  // and a call that does not ask for the audit carries none.
+  circuits::Drive drive;
+  drive.rise_time = 1e-9;
+  const circuit::Circuit ckt = circuits::fig16_mos_interconnect(drive, 5.0);
+  const circuit::NodeId out = ckt.find_node("n6");
+  core::Engine engine(ckt);
+  core::EngineOptions q1;
+  q1.order = 1;
+  q1.preflight_audit = true;
+  core::EngineOptions q2 = q1;
+  q2.order = 2;
+
+  EXPECT_NE(find_hazard(engine.approximate(out, q1).diagnostics), nullptr);
+  EXPECT_EQ(find_hazard(engine.approximate(out, q2).diagnostics), nullptr);
+  const std::vector<circuit::NodeId> outs{out};
+  EXPECT_EQ(find_hazard(engine.approximate_all(outs, q2).results[0].diagnostics),
+            nullptr);
+  EXPECT_NE(find_hazard(engine.approximate_all(outs, q1).results[0].diagnostics),
+            nullptr);
+  core::EngineOptions unaudited = q1;
+  unaudited.preflight_audit = false;
+  EXPECT_EQ(find_hazard(engine.approximate(out, unaudited).diagnostics),
+            nullptr);
+  EXPECT_EQ(engine.stats().conditioning_hazards, 1u);
+}
+
 // ---------------------------------------------------------------------
 // Eligibility precheck (tier-2 input, and the HierSession fast path).
 

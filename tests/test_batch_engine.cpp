@@ -207,8 +207,8 @@ TEST(BatchEngine, SharesCircuitLevelWork) {
 
   core::Engine engine(ckt);
   const auto batch = engine.approximate_all(outs, options);
-  // The circuit-level factorizations (one LU of G plus a handful of
-  // sigma-limit shifts for the jump check) are independent of the output
+  // The circuit-level factorizations (one LU of G, plus at most one of
+  // the t=0+ system for the jump check) are independent of the output
   // count: far fewer than one per sink.
   EXPECT_GE(batch.stats.factorizations, 1u);
   EXPECT_LT(batch.stats.factorizations, outs.size());
@@ -285,8 +285,8 @@ TEST(ParallelAnalyzer, MultiSinkNetUsesOneBatch) {
   ASSERT_EQ(report.stages.size(), 1u);
   EXPECT_EQ(report.awe_stats.stages, 1u);
   EXPECT_EQ(report.awe_stats.outputs, 2u);
-  // The whole two-sink stage runs on one factored system (the sigma
-  // shifts for jump detection add a few, but nothing scales per sink).
+  // The whole two-sink stage runs on one factored system (a jump check
+  // could add the t=0+ system, but nothing scales per sink).
   EXPECT_LE(report.awe_stats.factorizations, 12u);
   EXPECT_GT(report.wall_seconds, 0.0);
 }

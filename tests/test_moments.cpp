@@ -1,6 +1,6 @@
 // Moment generation (Section 3.2): recursion against hand-computed values,
 // consistency with the exact transfer function, actual-pole extraction,
-// and the sigma-limit initial value/slope machinery.
+// and the t=0+ initial value/slope (the t=0+ circuit of eq. 8).
 #include <gtest/gtest.h>
 
 #include <cmath>

@@ -97,9 +97,10 @@ TEST(Session, IntrinsicDelayEditReusesLuAndDownstreamStages) {
   EXPECT_EQ(warm.awe_stats.stages_reused, 2u);
   EXPECT_EQ(warm.awe_stats.stages_recomputed, 1u);
   // The one recomputed stage adopted the cached factorization of G and
-  // skipped exactly that LU; the sigma-limit (G + sigma C) factors it
-  // still performs are per-stage identical, so the cold run's three
-  // stages each cost one factorization more than the warm stage.
+  // skipped exactly that LU; any other factorization a stage performs
+  // (none for these ramp-driven stages) is per-stage identical, so the
+  // cold run's three stages each cost one factorization more than the
+  // warm stage.
   EXPECT_GT(cold.awe_stats.factorizations, 0u);
   EXPECT_EQ(cold.awe_stats.factorizations,
             3 * (warm.awe_stats.factorizations + 1));

@@ -63,8 +63,8 @@ RealVector random_vector(std::uint32_t seed, std::size_t n) {
 }  // namespace
 
 // ---------------------------------------------------------------------
-// Blocked multi-RHS substitutions: bitwise identity with the one-vector
-// forms, across panel-boundary counts (kPanel = 8).
+// Multi-RHS substitutions: bitwise identity with the one-vector forms,
+// across the sparse LU's panel-boundary counts (8 per panel).
 
 TEST(BlockedSubstitution, DenseSolveMultiBitwiseEqualsSolve) {
   for (std::size_t nrhs : {1u, 7u, 8u, 9u, 16u, 23u}) {
