@@ -9,6 +9,8 @@
 // under the ctest label "audit".
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -487,6 +489,272 @@ TEST(DesignNetlist, ParseErrorsCarryExactLocations) {
 TEST(DesignNetlist, FlatSpiceIsNotADesign) {
   EXPECT_FALSE(looks_like_design("V1 in 0 5\nR1 in out 1k\n"));
   EXPECT_TRUE(looks_like_design("* header\n.GATE g1 rdrive=1k\n"));
+}
+
+/// "file:line:column" of a source-map lookup, or "-" when absent.  The
+/// lookups are only tested for presence and dereferenced, so this reads
+/// any handle with `if (loc)` and `loc->`.
+template <typename Loc>
+std::string where(const Loc& loc) {
+  if (!loc) return "-";
+  return loc->file + ":" + std::to_string(loc->line) + ":" +
+         std::to_string(loc->column);
+}
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+std::string dump_diagnostic(const core::Diagnostic& d) {
+  return std::string(core::to_string(d.severity)) + " " +
+         core::to_string(d.code) + " " + d.file + ":" +
+         std::to_string(d.line) + ":" + std::to_string(d.column) + " [" +
+         d.element + "] cond=" + hex(d.condition_estimate) + " " +
+         d.message + "\n";
+}
+
+/// Every diagnostic of a parse, then (when a design came out) every
+/// gate, net and element with its value in hex and its source-map
+/// lookup, plus lookups that must miss.
+std::string dump_parse(const DesignParse& parse) {
+  std::string out;
+  for (const auto& d : parse.diagnostics) out += "parse " + dump_diagnostic(d);
+  if (!parse.design) return out + "no design\n";
+  const timing::Design& design = *parse.design;
+  for (const auto& [name, gate] : design.gates()) {
+    out += "gate " + name + " " + hex(gate.drive_resistance) + " " +
+           hex(gate.input_capacitance) + " " + hex(gate.intrinsic_delay) +
+           " @ " + where(parse.sources.gate_loc(name)) + "\n";
+  }
+  for (const std::string& pi : design.primary_inputs()) {
+    out += "input " + pi + "\n";
+  }
+  for (std::size_t i = 0; i < design.net_count(); ++i) {
+    const timing::Net& net = design.net_at(i);
+    out += "net " + net.name + " driver " + design.net_driver(i) + " @ " +
+           where(parse.sources.net_loc(net.name)) + "\n";
+    for (std::size_t e = 0; e < net.parasitics.size(); ++e) {
+      const timing::NetElement& el = net.parasitics[e];
+      out += "  element " + std::to_string(e) + " kind " +
+             std::to_string(static_cast<int>(el.kind)) + " " + el.node_a +
+             " " + el.node_b + " " + hex(el.value) + " @ " +
+             where(parse.sources.element_loc(net.name, e)) + "\n";
+    }
+    out += "  element " + std::to_string(net.parasitics.size()) + " @ " +
+           where(parse.sources.element_loc(net.name,
+                                           net.parasitics.size())) +
+           "\n";
+    for (const auto& [gate, node] : net.sink_node) {
+      out += "  sink " + gate + " " + node + "\n";
+    }
+  }
+  out += "gate <none> @ " + where(parse.sources.gate_loc("<none>")) + "\n";
+  out += "net <none> @ " + where(parse.sources.net_loc("<none>")) + "\n";
+  out += "element <none>/0 @ " +
+         where(parse.sources.element_loc("<none>", 0)) + "\n";
+  return out;
+}
+
+TEST(DesignNetlist, CrlfLineEndingsParseLikeLf) {
+  const std::string lf =
+      ".gate g1 rdrive=1k cin=5f\n"
+      ".gate g2\n"
+      ".input g1\n"
+      ".net g1 n1\n"
+      "R1 DRV a 1k\n"
+      "C1 a 0 10f\n"
+      ".sink g2 a\n"
+      ".endnet\n";
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  const DesignParse a = parse_design(lf, "d.sp");
+  const DesignParse b = parse_design(crlf, "d.sp");
+  ASSERT_TRUE(a.design.has_value()) << core::to_string(a.diagnostics);
+  EXPECT_EQ(dump_parse(a), dump_parse(b));
+  EXPECT_EQ(where(b.sources.element_loc("n1", 1)), "d.sp:6:1");
+  EXPECT_EQ(where(b.sources.net_loc("n1")), "d.sp:4:9");
+  EXPECT_TRUE(looks_like_design(crlf));
+}
+
+TEST(DesignNetlist, TabVerticalTabAndFormFeedSeparateTokens) {
+  const DesignParse parse = parse_design(
+      ".gate\tg1\vrdrive=2k\n"
+      ".input g1\n"
+      "\f.net g1\tn1\n"
+      "R1\tDRV\va\f3k\n"
+      ".endnet\n",
+      "ws.sp");
+  ASSERT_TRUE(parse.design.has_value()) << core::to_string(parse.diagnostics);
+  EXPECT_EQ(parse.design->gates().at("g1").drive_resistance, 2e3);
+  ASSERT_EQ(parse.design->net_at(0).parasitics.size(), 1u);
+  EXPECT_EQ(parse.design->net_at(0).parasitics[0].node_b, "a");
+  EXPECT_EQ(parse.design->net_at(0).parasitics[0].value, 3e3);
+  EXPECT_EQ(where(parse.sources.gate_loc("g1")), "ws.sp:1:7");
+  EXPECT_EQ(where(parse.sources.net_loc("n1")), "ws.sp:3:10");
+  EXPECT_EQ(where(parse.sources.element_loc("n1", 0)), "ws.sp:4:1");
+}
+
+TEST(DesignNetlist, StarStartsACommentOnlyAtATokenStart) {
+  const DesignParse parse = parse_design(
+      ".gate g1 * rdrive=nonsense is commented out\n"
+      ".input g1\n"
+      ".net g1 n1\n"
+      "R1 DRV a*b 1k *R2 a 0 1k\n"
+      "   * an indented comment line\n"
+      ".endnet\n",
+      "star.sp");
+  ASSERT_TRUE(parse.design.has_value()) << core::to_string(parse.diagnostics);
+  EXPECT_EQ(parse.design->gates().at("g1").drive_resistance, 1e3);
+  ASSERT_EQ(parse.design->net_at(0).parasitics.size(), 1u);
+  EXPECT_EQ(parse.design->net_at(0).parasitics[0].node_b, "a*b");
+}
+
+TEST(DesignNetlist, LastLineWithoutNewlineStillParses) {
+  const DesignParse parse = parse_design(
+      ".gate g1\n.input g1\n.net g1 n1\nR1 DRV a 1k\n.endnet", "eof.sp");
+  ASSERT_TRUE(parse.design.has_value()) << core::to_string(parse.diagnostics);
+  EXPECT_EQ(parse.design->net_count(), 1u);
+  EXPECT_EQ(where(parse.sources.net_loc("n1")), "eof.sp:3:9");
+  EXPECT_TRUE(looks_like_design(".gate g1"));
+}
+
+TEST(DesignNetlist, EmptyTextIsAnEmptyDesign) {
+  const DesignParse parse = parse_design("", "empty.sp");
+  EXPECT_TRUE(parse.diagnostics.empty());
+  ASSERT_TRUE(parse.design.has_value());
+  EXPECT_TRUE(parse.design->gates().empty());
+  EXPECT_EQ(parse.design->net_count(), 0u);
+  EXPECT_FALSE(looks_like_design(""));
+  EXPECT_FALSE(looks_like_design("\n\n"));
+}
+
+TEST(DesignNetlist, UpperCaseEndStopsTheParse) {
+  const DesignParse parse = parse_design(
+      ".GATE g1\n.Input g1\n.NET g1 n1\nr1 DRV a 1K\n.EndNet\n.END\n"
+      "garbage that would not parse\n",
+      "end.sp");
+  EXPECT_TRUE(parse.diagnostics.empty()) << core::to_string(parse.diagnostics);
+  ASSERT_TRUE(parse.design.has_value());
+  EXPECT_EQ(parse.design->net_at(0).parasitics[0].value, 1e3);
+  // looks_like_design scans the whole text, past any .end.
+  EXPECT_TRUE(looks_like_design("R1 a b 1k\n.END\n.gate g1\n"));
+}
+
+TEST(DesignNetlist, UnclosedNetAtEofIsReportedOnTheLastLine) {
+  const DesignParse parse = parse_design(
+      ".gate g1\n.input g1\n.net g1 n1\nR1 DRV a 1k\n\n", "open.sp");
+  EXPECT_FALSE(parse.design.has_value());
+  ASSERT_EQ(parse.diagnostics.size(), 1u);
+  EXPECT_EQ(dump_diagnostic(parse.diagnostics[0]),
+            "error parse-error open.sp:5:1 [] cond=-0x1p+0 "
+            "missing .endnet for 'n1'\n");
+  // The net is still closed into the source map.
+  EXPECT_EQ(where(parse.sources.net_loc("n1")), "open.sp:3:9");
+  EXPECT_EQ(where(parse.sources.element_loc("n1", 0)), "open.sp:4:1");
+}
+
+TEST(DesignNetlist, EveryDirectiveErrorKeepsItsMessageAndColumn) {
+  const DesignParse parse = parse_design(
+      ".gate\n"
+      ".gate g1 rdrive=1k Cin=2f bogus speed=1 delay=1x\n"
+      ".gate g1\n"
+      ".input\n"
+      ".input ghost\n"
+      ".sink g1 a\n"
+      ".endnet\n"
+      "R9 a b 1k\n"
+      ".net g1\n"
+      ".net g1 n1\n"
+      "Q1 DRV a 1k\n"
+      "R1 DRV a\n"
+      "R2 DRV a 1q\n"
+      ".sink g1\n"
+      ".net zz n2\n"
+      ".endnet\n"
+      ".net g1 n1\n"
+      ".wat\n",
+      "errs.sp");
+  std::string got;
+  for (const auto& d : parse.diagnostics) got += dump_diagnostic(d);
+  const char* kExpected =
+      "error parse-error errs.sp:1:1 [] cond=-0x1p+0 .gate needs a name\n"
+      "error parse-error errs.sp:2:27 [] cond=-0x1p+0 "
+      ".gate parameter is not key=value: 'bogus'\n"
+      "error parse-error errs.sp:2:33 [] cond=-0x1p+0 "
+      "unknown .gate parameter 'speed'\n"
+      "error parse-error errs.sp:2:47 [] cond=-0x1p+0 "
+      "parse_value: bad suffix in '1x'\n"
+      "error parse-error errs.sp:3:7 [] cond=-0x1p+0 duplicate gate 'g1'\n"
+      "error parse-error errs.sp:4:1 [] cond=-0x1p+0 "
+      ".input needs a gate name\n"
+      "error parse-error errs.sp:6:1 [] cond=-0x1p+0 "
+      ".sink outside .net/.endnet\n"
+      "error parse-error errs.sp:7:1 [] cond=-0x1p+0 .endnet without .net\n"
+      "error parse-error errs.sp:8:1 [] cond=-0x1p+0 "
+      "element card outside .net/.endnet: 'R9'\n"
+      "error parse-error errs.sp:9:1 [] cond=-0x1p+0 "
+      ".net needs DRIVER and NETNAME\n"
+      "error parse-error errs.sp:11:1 [] cond=-0x1p+0 "
+      "unknown element card 'Q1' (design nets take R/C/L only)\n"
+      "error parse-error errs.sp:12:1 [] cond=-0x1p+0 "
+      "element card needs NAME NODE NODE VALUE\n"
+      "error parse-error errs.sp:13:10 [] cond=-0x1p+0 "
+      "parse_value: bad suffix in '1q'\n"
+      "error parse-error errs.sp:14:1 [] cond=-0x1p+0 "
+      ".sink needs GATE and NODE\n"
+      "error parse-error errs.sp:15:1 [] cond=-0x1p+0 "
+      ".net before .endnet of 'n1'\n"
+      "error parse-error errs.sp:17:9 [] cond=-0x1p+0 duplicate net 'n1'\n"
+      "error parse-error errs.sp:18:1 [] cond=-0x1p+0 "
+      "unknown directive '.wat'\n"
+      "error parse-error errs.sp:5:8 [] cond=-0x1p+0 "
+      ".input names unknown gate 'ghost'\n"
+      "error parse-error errs.sp:15:9 [] cond=-0x1p+0 "
+      ".net driver 'zz' is not a gate\n";
+  EXPECT_EQ(got, kExpected);
+  EXPECT_FALSE(parse.design.has_value());
+}
+
+// Golden dump over the audit corpus: every parse and audit diagnostic
+// (severity, code, file:line:column, element, message) and every
+// source-map lookup, byte for byte.  On a mismatch the actual dump is
+// written next to the test's temp files for diffing.
+TEST(DesignNetlist, AuditCorpusGoldenDump) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           netlist_dir() + "/bad/audit")) {
+    if (entry.path().extension() == ".sp") {
+      names.push_back(entry.path().filename().string());
+    }
+  }
+  std::sort(names.begin(), names.end());
+  ASSERT_GE(names.size(), 6u);
+  std::string got;
+  for (const std::string& name : names) {
+    const std::string file = "netlists/bad/audit/" + name;
+    const DesignParse parse = parse_design(read_file(corpus_path(name)), file);
+    got += "== " + file + "\n" + dump_parse(parse);
+    if (!parse.design) continue;
+    const AuditReport report =
+        audit_design(*parse.design, {}, &parse.sources);
+    for (const auto& d : report.diagnostics) {
+      got += "audit " + dump_diagnostic(d);
+    }
+  }
+  const std::string golden_path =
+      std::string(AWESIM_GOLDEN_DIR) + "/design_netlist_audit.txt";
+  const std::string golden = read_file(golden_path);
+  if (got != golden) {
+    const std::string actual = testing::TempDir() + "design_netlist_audit.txt";
+    std::ofstream(actual) << got;
+    ADD_FAILURE() << "dump differs from " << golden_path << "; actual in "
+                  << actual;
+  }
 }
 
 // ---------------------------------------------------------------------

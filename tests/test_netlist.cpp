@@ -2,6 +2,11 @@
 // round-tripping.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include "circuit/circuit.h"
 #include "netlist/parser.h"
 
@@ -53,6 +58,69 @@ TEST(ParseValue, EngineeringSuffixes) {
   EXPECT_THROW(parse_value("abc"), std::invalid_argument);
   EXPECT_THROW(parse_value(""), std::invalid_argument);
   EXPECT_THROW(parse_value("1x"), std::invalid_argument);
+}
+
+// parse_value keeps std::stod's accepted set and rounding: a leading
+// '+', hex, inf/nan, ERANGE (overflow and underflow alike) rejected as
+// "not a number", and the suffix scale applied after the conversion.
+// Compared bit for bit, with the exact messages.
+TEST(ParseValue, TableIsBitExactWithExactMessages) {
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const std::string long_ok = std::string(70, '0') + "1.5k";
+  const struct {
+    std::string token;
+    double value;
+  } accepted[] = {
+      {"+1k", 1.0 * 1e3},
+      {".5p", 0.5 * 1e-12},
+      {"0x10", 16.0},
+      {"0X1p-2n", 0.25 * 1e-9},
+      {"inf", std::numeric_limits<double>::infinity()},
+      {"-INFk", -std::numeric_limits<double>::infinity()},
+      {"nan", std::numeric_limits<double>::quiet_NaN()},
+      {"1MEGohm", 1.0 * 1e6},
+      {"1mil", 1.0 * 1e-3},
+      {"10pF", 10.0 * 1e-12},
+      {"4.7", 4.7},
+      {"-0", -0.0},
+      {"1e3T", 1e3 * 1e12},
+      {"2.2e-1u", 2.2e-1 * 1e-6},
+      {" 1k", 1.0 * 1e3},
+      {long_ok, 1.5 * 1e3},
+  };
+  for (const auto& c : accepted) {
+    double got = 0.0;
+    ASSERT_NO_THROW(got = parse_value(c.token)) << c.token;
+    EXPECT_EQ(bits(got), bits(c.value)) << c.token;
+  }
+
+  const std::string long_bad = std::string(70, '1') + "x";
+  const struct {
+    std::string token;
+    std::string message;
+  } rejected[] = {
+      {"", "parse_value: empty token"},
+      {"1x", "parse_value: bad suffix in '1x'"},
+      {"abc", "parse_value: not a number: 'abc'"},
+      {"1e999", "parse_value: not a number: '1e999'"},
+      {"1e-400", "parse_value: not a number: '1e-400'"},
+      {"-1e999k", "parse_value: not a number: '-1e999k'"},
+      {"k1", "parse_value: not a number: 'k1'"},
+      {"1 k", "parse_value: bad suffix in '1 k'"},
+      {long_bad, "parse_value: bad suffix in '" + long_bad + "'"},
+  };
+  for (const auto& c : rejected) {
+    try {
+      parse_value(c.token);
+      ADD_FAILURE() << "accepted '" << c.token << "'";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), c.message);
+    }
+  }
 }
 
 TEST(Parser, BasicRcNetlist) {
