@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -22,7 +23,7 @@ struct Emitter {
 
   void emit(core::DiagCode code, core::Severity severity,
             std::string message, std::string element,
-            const circuit::SourceLoc* loc,
+            const std::optional<circuit::SourceLoc>& loc,
             double condition_estimate = -1.0) {
     core::Diagnostic d;
     d.code = code;
@@ -30,7 +31,7 @@ struct Emitter {
     d.message = std::move(message);
     d.element = std::move(element);
     d.condition_estimate = condition_estimate;
-    if (loc != nullptr && loc->known()) {
+    if (loc && loc->known()) {
       d.file = loc->file;
       d.line = loc->line;
       d.column = loc->column;
@@ -43,11 +44,18 @@ struct Emitter {
     report->diagnostics.push_back(std::move(d));
   }
 
-  const circuit::SourceLoc* gate_loc(const std::string& gate) const {
-    return sources == nullptr ? nullptr : sources->gate_loc(gate);
+  std::optional<circuit::SourceLoc> gate_loc(const std::string& gate) const {
+    if (sources == nullptr) return std::nullopt;
+    return sources->gate_loc(gate);
   }
-  const circuit::SourceLoc* net_loc(const std::string& net) const {
-    return sources == nullptr ? nullptr : sources->net_loc(net);
+  std::optional<circuit::SourceLoc> net_loc(const std::string& net) const {
+    if (sources == nullptr) return std::nullopt;
+    return sources->net_loc(net);
+  }
+  std::optional<circuit::SourceLoc> element_loc(const std::string& net,
+                                                std::size_t index) const {
+    if (sources == nullptr) return std::nullopt;
+    return sources->element_loc(net, index);
   }
 };
 
@@ -69,7 +77,8 @@ void run_graph_tier(const timing::Design& design,
     em.emit(core::DiagCode::CombinationalCycle, core::Severity::Error,
             "combinational cycle: " + join_path(cycle.gates),
             cycle.gates.empty() ? std::string() : cycle.gates.front(),
-            cycle.gates.empty() ? nullptr : em.gate_loc(cycle.gates.front()));
+            cycle.gates.empty() ? std::nullopt
+                                : em.gate_loc(cycle.gates.front()));
   }
   for (const std::string& gate : report.graph.undriven) {
     em.emit(core::DiagCode::UndrivenEndpoint, core::Severity::Warning,
@@ -302,11 +311,9 @@ void run_repetition_tier(const timing::Design& design,
           << "' are identical up to one value (element " << diff_index
           << ": " << miss.value_a << " vs " << miss.value_b
           << "); aligning them would dedup the reduction";
-      const circuit::SourceLoc* loc =
-          em.sources == nullptr
-              ? nullptr
-              : em.sources->element_loc(other.name, diff_index);
-      if (loc == nullptr) loc = em.net_loc(other.name);
+      std::optional<circuit::SourceLoc> loc =
+          em.element_loc(other.name, diff_index);
+      if (!loc) loc = em.net_loc(other.name);
       em.emit(core::DiagCode::NearDuplicate, core::Severity::Warning,
               msg.str(), other.name, loc);
       report.near_misses.push_back(std::move(miss));

@@ -1,83 +1,86 @@
 #include "audit/design_netlist.h"
 
-#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
+#include "netlist/lines.h"
 #include "netlist/parser.h"
+#include "obs/trace.h"
 
 namespace awesim::audit {
 
 namespace {
 
+/// A view into the netlist text, with its 1-based column.
 struct Token {
-  std::string text;
-  std::size_t column = 0;  // 1-based
+  std::string_view text;
+  std::size_t column = 0;
 };
 
-std::string lower(std::string s) {
-  std::transform(s.begin(), s.end(), s.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return s;
+bool is_space(char c) { return std::isspace(static_cast<unsigned char>(c)); }
+
+/// ASCII case-insensitive match against a lower-case word.
+bool iequals(std::string_view text, std::string_view lower_word) {
+  if (text.size() != lower_word.size()) return false;
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    if (std::tolower(static_cast<unsigned char>(text[i])) != lower_word[i]) {
+      return false;
+    }
+  }
+  return true;
 }
 
-/// Whitespace-split one line; a token starting with '*' begins a
+std::string lower(std::string_view s) {
+  std::string out(s);
+  for (char& c : out) {
+    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+  }
+  return out;
+}
+
+/// Whitespace-split one line into `tokens` (cleared first, so one
+/// vector serves every line); a token starting with '*' begins a
 /// comment that eats the rest of the line.
-std::vector<Token> tokenize(std::string_view line) {
-  std::vector<Token> tokens;
+void tokenize(std::string_view line, std::vector<Token>& tokens) {
+  tokens.clear();
   std::size_t i = 0;
   while (i < line.size()) {
-    while (i < line.size() &&
-           std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
+    while (i < line.size() && is_space(line[i])) ++i;
     if (i >= line.size() || line[i] == '*') break;
     const std::size_t start = i;
-    while (i < line.size() &&
-           !std::isspace(static_cast<unsigned char>(line[i]))) {
-      ++i;
-    }
-    tokens.push_back(
-        {std::string(line.substr(start, i - start)), start + 1});
+    while (i < line.size() && !is_space(line[i])) ++i;
+    tokens.push_back({line.substr(start, i - start), start + 1});
   }
-  return tokens;
 }
 
+using At = DesignSourceMap::At;
+
 struct Parser {
-  std::string filename;
   DesignParse out;
 
   // Declaration-ordered collections, assembled into a Design at the end.
+  // out.sources.gates / .nets double as the name sets: a gate or a
+  // closed net is in the source map exactly when it was accepted.
   std::vector<timing::Gate> gates;
-  std::map<std::string, std::size_t> gate_ids;
   struct PendingNet {
     std::string driver;
     timing::Net net;
-    circuit::SourceLoc loc;
+    At loc;
+    std::vector<At> elements;
   };
   std::vector<PendingNet> nets;
-  std::map<std::string, std::size_t> net_ids;
-  std::vector<std::pair<std::string, circuit::SourceLoc>> primary_inputs;
+  std::vector<std::pair<std::string, At>> primary_inputs;
 
   std::optional<PendingNet> open;  // the .net currently being filled
-
-  circuit::SourceLoc loc(std::size_t line, std::size_t column) const {
-    circuit::SourceLoc l;
-    l.file = filename;
-    l.line = line;
-    l.column = column;
-    return l;
-  }
 
   void error(std::size_t line, std::size_t column, std::string message) {
     core::Diagnostic d;
     d.code = core::DiagCode::ParseError;
     d.severity = core::Severity::Error;
     d.message = std::move(message);
-    d.file = filename;
+    d.file = out.sources.file;
     d.line = line;
     d.column = column;
     out.diagnostics.push_back(std::move(d));
@@ -93,6 +96,10 @@ struct Parser {
     }
   }
 
+  bool is_gate(std::string_view name) const {
+    return out.sources.gates.find(name) != out.sources.gates.end();
+  }
+
   void gate_card(const std::vector<Token>& tok, std::size_t line) {
     if (tok.size() < 2) {
       error(line, tok[0].column, ".gate needs a name");
@@ -100,33 +107,35 @@ struct Parser {
     }
     timing::Gate gate;
     gate.name = tok[1].text;
-    if (gate_ids.count(gate.name) != 0) {
+    if (is_gate(gate.name)) {
       error(line, tok[1].column, "duplicate gate '" + gate.name + "'");
       return;
     }
     for (std::size_t i = 2; i < tok.size(); ++i) {
-      const std::size_t eq = tok[i].text.find('=');
-      if (eq == std::string::npos) {
+      const std::string_view param = tok[i].text;
+      const std::size_t eq = param.find('=');
+      if (eq == std::string_view::npos) {
         error(line, tok[i].column,
-              ".gate parameter is not key=value: '" + tok[i].text + "'");
+              ".gate parameter is not key=value: '" + std::string(param) +
+                  "'");
         continue;
       }
-      const std::string key = lower(tok[i].text.substr(0, eq));
-      Token value{tok[i].text.substr(eq + 1), tok[i].column + eq + 1};
+      const std::string_view key = param.substr(0, eq);
+      const Token value{param.substr(eq + 1), tok[i].column + eq + 1};
       double v = 0.0;
       if (!parse_double(value, line, &v)) continue;
-      if (key == "rdrive") {
+      if (iequals(key, "rdrive")) {
         gate.drive_resistance = v;
-      } else if (key == "cin") {
+      } else if (iequals(key, "cin")) {
         gate.input_capacitance = v;
-      } else if (key == "delay") {
+      } else if (iequals(key, "delay")) {
         gate.intrinsic_delay = v;
       } else {
-        error(line, tok[i].column, "unknown .gate parameter '" + key + "'");
+        error(line, tok[i].column,
+              "unknown .gate parameter '" + lower(key) + "'");
       }
     }
-    gate_ids.emplace(gate.name, gates.size());
-    out.sources.gates.emplace(gate.name, loc(line, tok[1].column));
+    out.sources.gates.emplace(gate.name, At{line, tok[1].column});
     gates.push_back(std::move(gate));
   }
 
@@ -140,22 +149,22 @@ struct Parser {
       error(line, tok[0].column, ".net needs DRIVER and NETNAME");
       return;
     }
-    PendingNet pending;
-    pending.driver = tok[1].text;
-    pending.net.name = tok[2].text;
-    pending.loc = loc(line, tok[2].column);
-    if (net_ids.count(pending.net.name) != 0) {
+    if (out.sources.nets.find(tok[2].text) != out.sources.nets.end()) {
       error(line, tok[2].column,
-            "duplicate net '" + pending.net.name + "'");
+            "duplicate net '" + std::string(tok[2].text) + "'");
       return;
     }
-    open = std::move(pending);
+    PendingNet& pending = open.emplace();
+    pending.driver = tok[1].text;
+    pending.net.name = tok[2].text;
+    pending.loc = At{line, tok[2].column};
   }
 
   void element_card(const std::vector<Token>& tok, std::size_t line) {
     if (!open.has_value()) {
       error(line, tok[0].column,
-            "element card outside .net/.endnet: '" + tok[0].text + "'");
+            "element card outside .net/.endnet: '" +
+                std::string(tok[0].text) + "'");
       return;
     }
     if (tok.size() != 4) {
@@ -170,16 +179,14 @@ struct Parser {
       case 'l': e.kind = timing::NetElement::Kind::Inductor; break;
       default:
         error(line, tok[0].column,
-              "unknown element card '" + tok[0].text +
+              "unknown element card '" + std::string(tok[0].text) +
                   "' (design nets take R/C/L only)");
         return;
     }
+    if (!parse_double(tok[3], line, &e.value)) return;
     e.node_a = tok[1].text;
     e.node_b = tok[2].text;
-    if (!parse_double(tok[3], line, &e.value)) return;
-    out.sources.net_elements.emplace(
-        std::make_pair(open->net.name, open->net.parasitics.size()),
-        loc(line, tok[0].column));
+    open->elements.push_back(At{line, tok[0].column});
     open->net.parasitics.push_back(std::move(e));
   }
 
@@ -192,13 +199,15 @@ struct Parser {
       error(line, tok[0].column, ".sink needs GATE and NODE");
       return;
     }
-    open->net.sink_node[tok[1].text] = tok[2].text;
+    open->net.sink_node.insert_or_assign(std::string(tok[1].text),
+                                         std::string(tok[2].text));
   }
 
   void close_net() {
     if (!open.has_value()) return;
-    out.sources.nets.emplace(open->net.name, open->loc);
-    net_ids.emplace(open->net.name, nets.size());
+    out.sources.nets.emplace(
+        open->net.name,
+        DesignSourceMap::NetAt{open->loc, std::move(open->elements)});
     nets.push_back(std::move(*open));
     open.reset();
   }
@@ -208,26 +217,26 @@ struct Parser {
       error(last_line, 1, "missing .endnet for '" + open->net.name + "'");
       close_net();
     }
-    for (const auto& [name, pi_loc] : primary_inputs) {
-      if (gate_ids.count(name) == 0) {
-        error(pi_loc.line, pi_loc.column,
+    for (const auto& [name, at] : primary_inputs) {
+      if (!is_gate(name)) {
+        error(at.line, at.column,
               ".input names unknown gate '" + name + "'");
       }
     }
     for (const PendingNet& pending : nets) {
-      if (gate_ids.count(pending.driver) == 0) {
+      if (!is_gate(pending.driver)) {
         error(pending.loc.line, pending.loc.column,
               ".net driver '" + pending.driver + "' is not a gate");
       }
     }
     if (count_at_least(out.diagnostics, core::Severity::Error) > 0) return;
     timing::Design design;
-    for (const timing::Gate& gate : gates) design.add_gate(gate);
+    for (timing::Gate& gate : gates) design.add_gate(std::move(gate));
     for (PendingNet& pending : nets) {
-      design.add_net(pending.driver, std::move(pending.net));
+      design.add_net(std::move(pending.driver), std::move(pending.net));
     }
-    for (const auto& [name, pi_loc] : primary_inputs) {
-      (void)pi_loc;
+    for (const auto& [name, at] : primary_inputs) {
+      (void)at;
       design.set_primary_input(name);
     }
     out.design = std::move(design);
@@ -236,75 +245,96 @@ struct Parser {
 
 }  // namespace
 
-const circuit::SourceLoc* DesignSourceMap::gate_loc(
-    const std::string& gate) const {
+namespace {
+
+circuit::SourceLoc make_loc(const std::string& file, At at) {
+  circuit::SourceLoc loc;
+  loc.file = file;
+  loc.line = at.line;
+  loc.column = at.column;
+  return loc;
+}
+
+}  // namespace
+
+std::optional<circuit::SourceLoc> DesignSourceMap::gate_loc(
+    std::string_view gate) const {
   const auto it = gates.find(gate);
-  return it == gates.end() ? nullptr : &it->second;
+  if (it == gates.end()) return std::nullopt;
+  return make_loc(file, it->second);
 }
 
-const circuit::SourceLoc* DesignSourceMap::net_loc(
-    const std::string& net) const {
+std::optional<circuit::SourceLoc> DesignSourceMap::net_loc(
+    std::string_view net) const {
   const auto it = nets.find(net);
-  return it == nets.end() ? nullptr : &it->second;
+  if (it == nets.end()) return std::nullopt;
+  return make_loc(file, it->second.card);
 }
 
-const circuit::SourceLoc* DesignSourceMap::element_loc(
-    const std::string& net, std::size_t index) const {
-  const auto it = net_elements.find(std::make_pair(net, index));
-  return it == net_elements.end() ? nullptr : &it->second;
+std::optional<circuit::SourceLoc> DesignSourceMap::element_loc(
+    std::string_view net, std::size_t index) const {
+  const auto it = nets.find(net);
+  if (it == nets.end() || index >= it->second.elements.size()) {
+    return std::nullopt;
+  }
+  return make_loc(file, it->second.elements[index]);
 }
 
 bool looks_like_design(std::string_view text) {
-  std::istringstream in{std::string(text)};
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::vector<Token> tok = tokenize(line);
-    if (!tok.empty() && lower(tok[0].text) == ".gate") return true;
+  netlist::LineScanner lines(text);
+  std::string_view line;
+  while (lines.next(line)) {
+    std::size_t i = 0;
+    while (i < line.size() && is_space(line[i])) ++i;
+    std::size_t end = i;
+    while (end < line.size() && !is_space(line[end])) ++end;
+    if (iequals(line.substr(i, end - i), ".gate")) return true;
   }
   return false;
 }
 
 DesignParse parse_design(std::string_view text, std::string filename) {
+  AWESIM_TRACE_SPAN("netlist.parse");
   Parser p;
-  p.filename = std::move(filename);
-  std::istringstream in{std::string(text)};
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::vector<Token> tok = tokenize(line);
+  p.out.sources.file = std::move(filename);
+  netlist::LineScanner lines(text);
+  std::string_view line;
+  std::vector<Token> tok;
+  while (lines.next(line)) {
+    const std::size_t line_no = lines.number();
+    tokenize(line, tok);
     if (tok.empty()) continue;
-    const std::string head = lower(tok[0].text);
-    if (head == ".gate") {
+    const std::string_view head = tok[0].text;
+    if (iequals(head, ".gate")) {
       p.gate_card(tok, line_no);
-    } else if (head == ".input") {
+    } else if (iequals(head, ".input")) {
       if (tok.size() < 2) {
         p.error(line_no, tok[0].column, ".input needs a gate name");
       } else {
         p.primary_inputs.emplace_back(tok[1].text,
-                                      p.loc(line_no, tok[1].column));
+                                      At{line_no, tok[1].column});
       }
-    } else if (head == ".net") {
+    } else if (iequals(head, ".net")) {
       p.net_card(tok, line_no);
-    } else if (head == ".sink") {
+    } else if (iequals(head, ".sink")) {
       p.sink_card(tok, line_no);
-    } else if (head == ".endnet") {
+    } else if (iequals(head, ".endnet")) {
       if (!p.open.has_value()) {
         p.error(line_no, tok[0].column, ".endnet without .net");
       } else {
         p.close_net();
       }
-    } else if (head == ".end") {
+    } else if (iequals(head, ".end")) {
       break;
     } else if (head[0] == '.') {
       p.error(line_no, tok[0].column,
-              "unknown directive '" + tok[0].text + "'");
+              "unknown directive '" + std::string(head) + "'");
     } else {
       p.element_card(tok, line_no);
     }
   }
-  p.finish(line_no == 0 ? 1 : line_no);
-  return p.out;
+  p.finish(lines.number() == 0 ? 1 : lines.number());
+  return std::move(p.out);
 }
 
 DesignParse parse_design_file(const std::string& path) {

@@ -23,15 +23,18 @@
 //
 // Every parsed gate, net, and net element remembers its source card, so
 // design-scope diagnostics point at text the same way the lint rules
-// point at element cards.
+// point at element cards.  Lines come from netlist::LineScanner, the
+// scanner the SPICE front end uses too; tokens are views into the text,
+// so the parse allocates only what the Design itself keeps.
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "core/diagnostic.h"
@@ -39,19 +42,28 @@
 
 namespace awesim::audit {
 
-/// Where each design entity was declared (1-based lines; absent entries
-/// mean "not netlist-derived").
+/// Where each design entity was declared.  Flat: the file name is held
+/// once, and each card as its 1-based (line, column); a net keeps its
+/// element cards in a vector indexed like Net::parasitics.  Lookups
+/// build the SourceLoc, and are empty for entities not read from text.
 struct DesignSourceMap {
-  std::map<std::string, circuit::SourceLoc> gates;
-  std::map<std::string, circuit::SourceLoc> nets;
-  /// (net name, parasitic index) -> the element card.
-  std::map<std::pair<std::string, std::size_t>, circuit::SourceLoc>
-      net_elements;
+  struct At {
+    std::size_t line = 0;
+    std::size_t column = 0;
+  };
+  struct NetAt {
+    At card;                  // the .net card (its NETNAME token)
+    std::vector<At> elements;  // one per parsed parasitic, in order
+  };
 
-  const circuit::SourceLoc* gate_loc(const std::string& gate) const;
-  const circuit::SourceLoc* net_loc(const std::string& net) const;
-  const circuit::SourceLoc* element_loc(const std::string& net,
-                                        std::size_t index) const;
+  std::string file;
+  std::map<std::string, At, std::less<>> gates;
+  std::map<std::string, NetAt, std::less<>> nets;
+
+  std::optional<circuit::SourceLoc> gate_loc(std::string_view gate) const;
+  std::optional<circuit::SourceLoc> net_loc(std::string_view net) const;
+  std::optional<circuit::SourceLoc> element_loc(std::string_view net,
+                                                std::size_t index) const;
 };
 
 /// Outcome of parsing one design netlist.  `design` is present iff no

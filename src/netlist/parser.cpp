@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
+
+#include "netlist/lines.h"
+#include "obs/trace.h"
 
 namespace awesim::netlist {
 
@@ -80,21 +86,43 @@ double parse_value(std::string_view token) {
   if (token.empty()) {
     throw std::invalid_argument("parse_value: empty token");
   }
-  std::size_t pos = 0;
-  double base = 0.0;
-  const std::string str(token);
-  try {
-    base = std::stod(str, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("parse_value: not a number: '" + str + "'");
+  // strtod needs a terminated string: a stack copy for every real value
+  // token, the heap only past 63 characters.
+  char small[64];
+  std::string large;
+  const char* str = small;
+  if (token.size() < sizeof small) {
+    std::memcpy(small, token.data(), token.size());
+    small[token.size()] = '\0';
+  } else {
+    large.assign(token);
+    str = large.c_str();
   }
-  std::string suffix = to_lower(str.substr(pos));
+  // std::stod's contract without its exceptions: no digits or an
+  // out-of-range magnitude (ERANGE, on overflow and underflow alike) is
+  // not a number, and errno is left as the caller had it.
+  const int saved_errno = errno;
+  errno = 0;
+  char* end = nullptr;
+  const double base = std::strtod(str, &end);
+  const bool out_of_range = errno == ERANGE;
+  if (errno == 0) errno = saved_errno;
+  if (end == str || out_of_range) {
+    throw std::invalid_argument("parse_value: not a number: '" +
+                                std::string(token) + "'");
+  }
+  const std::string_view suffix = token.substr(end - str);
+  const auto lower = [&suffix](std::size_t i) {
+    return static_cast<char>(
+        std::tolower(static_cast<unsigned char>(suffix[i])));
+  };
   // SPICE ignores trailing unit letters after the scale suffix ("pF").
   double scale = 1.0;
-  if (suffix.rfind("meg", 0) == 0) {
+  if (suffix.size() >= 3 && lower(0) == 'm' && lower(1) == 'e' &&
+      lower(2) == 'g') {
     scale = 1e6;
   } else if (!suffix.empty()) {
-    switch (suffix.front()) {
+    switch (lower(0)) {
       case 'f': scale = 1e-15; break;
       case 'p': scale = 1e-12; break;
       case 'n': scale = 1e-9; break;
@@ -104,8 +132,8 @@ double parse_value(std::string_view token) {
       case 'g': scale = 1e9; break;
       case 't': scale = 1e12; break;
       default:
-        throw std::invalid_argument("parse_value: bad suffix in '" + str +
-                                    "'");
+        throw std::invalid_argument("parse_value: bad suffix in '" +
+                                    std::string(token) + "'");
     }
   }
   return base * scale;
@@ -376,6 +404,7 @@ void process_card(const Card& card, const ExpandContext& ctx) {
 
 ParseResult parse_collect(std::string_view text,
                           const std::string& filename, bool validate) {
+  AWESIM_TRACE_SPAN("netlist.parse");
   ParseResult result;
 
   auto record_parse = [&](const ParseError& e) {
@@ -403,23 +432,21 @@ ParseResult parse_collect(std::string_view text,
   // rest of the file still gets checked.
   std::vector<Card> cards;
   {
-    std::istringstream in{std::string(text)};
-    std::string raw;
-    std::size_t lineno = 0;
+    LineScanner lines(text);
+    std::string_view raw;
     std::vector<std::pair<std::size_t, std::size_t>> starts;  // line, col
     std::vector<std::string> texts;
-    while (std::getline(in, raw)) {
-      ++lineno;
+    while (lines.next(raw)) {
+      const std::size_t lineno = lines.number();
       // Strip comments.
-      const std::size_t semi = raw.find(';');
-      if (semi != std::string::npos) raw.erase(semi);
+      raw = raw.substr(0, raw.find(';'));
       const std::size_t first = raw.find_first_not_of(" \t\r");
-      if (first == std::string::npos) continue;
-      std::string trimmed = raw.substr(first);
+      if (first == std::string_view::npos) continue;
+      std::string_view trimmed = raw.substr(first);
       while (!trimmed.empty() &&
              (trimmed.back() == '\r' || trimmed.back() == ' ' ||
               trimmed.back() == '\t')) {
-        trimmed.pop_back();
+        trimmed.remove_suffix(1);
       }
       if (trimmed.empty()) continue;
       if (trimmed.front() == '*') continue;
@@ -429,10 +456,11 @@ ParseResult parse_collect(std::string_view text,
                                   "continuation with no previous card"));
           continue;
         }
-        texts.back() += " " + trimmed.substr(1);
+        texts.back() += ' ';
+        texts.back() += trimmed.substr(1);
       } else {
         starts.emplace_back(lineno, first);
-        texts.push_back(std::move(trimmed));
+        texts.emplace_back(trimmed);
       }
     }
     cards.reserve(texts.size());

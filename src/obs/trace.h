@@ -31,6 +31,7 @@
 //                    (verified hit in the serial pre-pass)
 //   session.invalidate  one cache entry dropped (failed verification
 //                    or evicted); the stage is recomputed
+//   netlist.parse    one netlist text read by either front end
 //
 // Cost model, so instrumentation can stay in hot paths:
 //   * compiled out (-DAWESIM_TRACING=OFF): the macro expands to nothing;
