@@ -243,10 +243,6 @@ struct Parser {
   }
 };
 
-}  // namespace
-
-namespace {
-
 circuit::SourceLoc make_loc(const std::string& file, At at) {
   circuit::SourceLoc loc;
   loc.file = file;
