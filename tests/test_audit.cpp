@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -491,11 +492,8 @@ TEST(DesignNetlist, FlatSpiceIsNotADesign) {
   EXPECT_TRUE(looks_like_design("* header\n.GATE g1 rdrive=1k\n"));
 }
 
-/// "file:line:column" of a source-map lookup, or "-" when absent.  The
-/// lookups are only tested for presence and dereferenced, so this reads
-/// any handle with `if (loc)` and `loc->`.
-template <typename Loc>
-std::string where(const Loc& loc) {
+/// "file:line:column" of a source-map lookup, or "-" when absent.
+std::string where(const std::optional<circuit::SourceLoc>& loc) {
   if (!loc) return "-";
   return loc->file + ":" + std::to_string(loc->line) + ":" +
          std::to_string(loc->column);
