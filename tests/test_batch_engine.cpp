@@ -10,12 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "circuit/circuit.h"
 #include "circuits/paper_circuits.h"
 #include "core/engine.h"
+#include "core/parallel.h"
 #include "timing/analyzer.h"
 
 namespace awesim {
@@ -316,6 +319,44 @@ TEST(ParallelAnalyzer, CycleStillDetectedAndErrorsPropagate) {
     opt.preflight_audit = false;
     EXPECT_THROW(d.analyze(opt), std::invalid_argument);
   }
+}
+
+// A one-job batch (a one-stage wavefront) runs inline on the caller
+// without waking the workers, and its exception reaches the caller as
+// thrown.
+TEST(ThreadPool, SingleJobRunsOnCallingThread) {
+  struct JobError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+    int code = 0;
+  };
+  core::ThreadPool pool(4);
+  ASSERT_EQ(pool.size(), 4u);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int round = 0; round < 50; ++round) {
+    std::thread::id ran_on;
+    std::size_t index = 99;
+    pool.parallel_for(1, [&](std::size_t i) {
+      ran_on = std::this_thread::get_id();
+      index = i;
+    });
+    EXPECT_EQ(ran_on, caller);
+    EXPECT_EQ(index, 0u);
+  }
+  try {
+    pool.parallel_for(1, [](std::size_t) {
+      JobError e("job 0 failed");
+      e.code = 17;
+      throw e;
+    });
+    ADD_FAILURE() << "the job's exception was swallowed";
+  } catch (const JobError& e) {
+    EXPECT_STREQ(e.what(), "job 0 failed");
+    EXPECT_EQ(e.code, 17);
+  }
+  // The pool still serves wider batches afterwards.
+  std::vector<int> hits(8, 0);
+  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  EXPECT_EQ(hits, std::vector<int>(8, 1));
 }
 
 }  // namespace awesim

@@ -1,6 +1,8 @@
 // Circuit model and stimulus descriptions.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "circuit/circuit.h"
 
 namespace awesim::circuit {
@@ -121,6 +123,90 @@ TEST(Circuit, ValidateCatchesDanglingNode) {
   ckt.add_resistor("R1", ckt.node("a"), kGround, 1.0);
   ckt.node("orphan");  // registered but never used
   EXPECT_THROW(ckt.validate(), std::invalid_argument);
+}
+
+// With several faults present, validate throws the first one in a fixed
+// order: dangling nodes by id, then the elements in order (name, value,
+// control target, self-short).  Exact messages.
+TEST(Circuit, ValidateThrowsTheFirstErrorWithItsMessage) {
+  const auto message = [](const Circuit& ckt) -> std::string {
+    try {
+      ckt.validate();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "valid";
+  };
+  {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.node("d1");
+    ckt.node("d2");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_resistor("R1", a, kGround, -1.0);
+    EXPECT_EQ(message(ckt),
+              "Circuit: node 'd1' is not connected to any element");
+  }
+  {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_capacitor("C1", a, a, 0.0);
+    ckt.add_resistor("R1", a, kGround, 2.0);
+    EXPECT_EQ(message(ckt), "Circuit: element 'C1' must have a positive value");
+  }
+  {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_resistor("R2", a, a, 1.0);
+    ckt.add_resistor("R1", a, kGround, 2.0);
+    EXPECT_EQ(message(ckt), "Circuit: element 'R2' shorts a node to itself");
+  }
+  {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_resistor("R1", a, kGround, 2.0);
+    ckt.add_resistor("", a, kGround, 2.0);
+    EXPECT_EQ(message(ckt), "Circuit: duplicate element name 'R1'");
+  }
+  {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.add_resistor("", a, kGround, 2.0);
+    EXPECT_EQ(message(ckt), "Circuit: element with empty name");
+  }
+  {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.add_cccs("F1", a, kGround, "Vx", 2.0);
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    EXPECT_EQ(message(ckt),
+              "Circuit: 'F1' references unknown control source 'Vx'");
+    ckt.add_ccvs("H1", a, kGround, "R1", 2.0);
+  }
+  {
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_ccvs("H1", a, kGround, "R1", 2.0);
+    EXPECT_EQ(message(ckt),
+              "Circuit: 'H1' control element must be a voltage source or "
+              "inductor");
+  }
+  {
+    // A node id outside the registry touches nothing and is not itself
+    // an error here; the registered nodes decide.
+    Circuit ckt;
+    const NodeId a = ckt.node("a");
+    ckt.add_resistor("R1", a, kGround, 1.0);
+    ckt.add_resistor("R2", a, 42, 1.0);
+    ckt.add_resistor("R3", a, -3, 1.0);
+    EXPECT_EQ(message(ckt), "valid");
+    ckt.node("b");
+    EXPECT_EQ(message(ckt), "Circuit: node 'b' is not connected to any element");
+  }
 }
 
 }  // namespace awesim::circuit

@@ -2,6 +2,8 @@
 // factorization correctness against the dense solver.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <random>
 
 #include "la/lu.h"
@@ -54,6 +56,57 @@ TEST(SparseMatrix, FromTripletsSumsDuplicates) {
   EXPECT_EQ(d(1, 0), 5.0);
   EXPECT_EQ(d(0, 1), -1.0);
   EXPECT_EQ(d(1, 1), 0.0);
+}
+
+// Appending signed-zero triplets (C scaled by a zero shift) never
+// changes a densified matrix, signed zeros included: the zeros leave
+// every nonzero partial sum of a duplicate run as it was, and to_dense
+// adds each compressed entry to +0.  MnaSystem relies on this to factor
+// G by densifying its stamped G instead of re-assembling G + 0*C.
+TEST(SparseMatrix, AppendedSignedZerosDensifyToTheSameBits) {
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  std::mt19937 rng(12345);
+  std::uniform_int_distribution<std::size_t> at(0, 5);
+  std::uniform_int_distribution<int> kind(0, 5);
+  std::uniform_real_distribution<double> val(-2.0, 2.0);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::size_t n = 6;
+    std::vector<la::Triplet> g;
+    std::vector<la::Triplet> c;
+    for (int k = 0; k < 30; ++k) {
+      const std::size_t i = at(rng);
+      const std::size_t j = at(rng);
+      const double x = val(rng);
+      switch (kind(rng)) {
+        case 0: g.push_back({i, j, 0.0}); break;
+        case 1: g.push_back({i, j, -0.0}); break;
+        case 2:  // a cancelling pair sums to +0
+          g.push_back({i, j, x});
+          g.push_back({i, j, -x});
+          break;
+        default: g.push_back({i, j, x}); break;
+      }
+      c.push_back({at(rng), at(rng), val(rng)});
+    }
+    for (const double shift : {0.0, -0.0}) {
+      std::vector<la::Triplet> sum = g;
+      for (const auto& t : c) sum.push_back({t.row, t.col, shift * t.value});
+      const la::RealMatrix want =
+          la::SparseMatrix::from_triplets(n, n, sum).to_dense();
+      const la::RealMatrix got =
+          la::SparseMatrix::from_triplets(n, n, g).to_dense();
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+          ASSERT_EQ(bits(got(i, j)), bits(want(i, j)))
+              << "trial " << trial << " at (" << i << ", " << j << ")";
+        }
+      }
+    }
+  }
 }
 
 TEST(SparseMatrix, RejectsOutOfRange) {

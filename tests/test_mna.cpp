@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "circuit/circuit.h"
+#include "la/lu.h"
+#include "la/sparse.h"
 #include "mna/system.h"
 
 namespace awesim::mna {
@@ -225,6 +230,61 @@ TEST(Mna, ValidationRejectsBadCircuits) {
     Circuit ckt;
     ckt.add_cccs("F1", ckt.node("a"), kGround, "nosuch", 1.0);
     EXPECT_THROW(MnaSystem{ckt}, std::invalid_argument);
+  }
+}
+
+// The dense G factorization densifies the stamped G instead of
+// re-assembling G + 0*C from triplets; solves agree bit for bit with an
+// LU of the re-assembled matrix, on circuits whose C has entries G lacks
+// (coupling capacitors, inductor branches) and whose G has signed zeros
+// (a zero-gain controlled source).
+TEST(Mna, DenseGFactorMatchesTheReassembledSystemBitwise) {
+  const auto bits = [](double v) {
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  const auto triplets = [](const la::SparseMatrix& m, double scale) {
+    std::vector<la::Triplet> t;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      for (std::size_t k = m.col_start()[j]; k < m.col_start()[j + 1];
+           ++k) {
+        t.push_back({m.row_index()[k], j, scale * m.values()[k]});
+      }
+    }
+    return t;
+  };
+  Circuit ckt;
+  const auto in = ckt.node("in");
+  const auto a = ckt.node("a");
+  const auto b = ckt.node("b");
+  const auto c = ckt.node("c");
+  const auto d = ckt.node("d");
+  ckt.add_vsource("V1", in, kGround, Stimulus::ramp_step(0.0, 5.0, 1e-10));
+  ckt.add_resistor("R1", in, a, 120.0);
+  ckt.add_resistor("R2", a, b, 75.0);
+  ckt.add_inductor("L1", b, c, 2e-9);
+  ckt.add_resistor("R3", c, kGround, 1e4);
+  ckt.add_capacitor("C1", a, kGround, 1e-13);
+  ckt.add_capacitor("Cx", a, c, 3e-14);  // no resistor between a and c
+  ckt.add_capacitor("C2", c, kGround, 2e-13);
+  ckt.add_vcvs("E1", d, kGround, a, kGround, 0.0);  // -0.0 stamps
+  ckt.add_resistor("R4", d, kGround, 50.0);
+  const MnaSystem sys(ckt);
+  ASSERT_FALSE(sys.uses_sparse());
+  std::vector<la::Triplet> sum = triplets(sys.g_sparse(), 1.0);
+  for (const auto& t : triplets(sys.c_sparse(), 0.0)) sum.push_back(t);
+  const la::Lu<double> reference(
+      la::SparseMatrix::from_triplets(sys.dim(), sys.dim(), sum).to_dense());
+  for (std::size_t k = 0; k < sys.dim(); ++k) {
+    la::RealVector rhs(sys.dim(), 0.0);
+    rhs[k] = 1.0;
+    rhs[(k + 1) % sys.dim()] = -0.5;
+    const la::RealVector got = sys.solve(rhs);
+    const la::RealVector want = reference.solve(rhs);
+    for (std::size_t i = 0; i < sys.dim(); ++i) {
+      EXPECT_EQ(bits(got[i]), bits(want[i])) << "rhs " << k << " row " << i;
+    }
   }
 }
 

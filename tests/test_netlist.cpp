@@ -91,6 +91,12 @@ TEST(ParseValue, TableIsBitExactWithExactMessages) {
       {"2.2e-1u", 2.2e-1 * 1e-6},
       {" 1k", 1.0 * 1e3},
       {long_ok, 1.5 * 1e3},
+      {"1.", 1.0},
+      {"1.e3", 1e3},
+      {"0.0", 0.0},
+      {"007", 7.0},
+      {"-2.5e3k", -2.5e3 * 1e3},
+      {"12345678901234567890123456789", 12345678901234567890123456789.0},
   };
   for (const auto& c : accepted) {
     double got = 0.0;
@@ -111,6 +117,10 @@ TEST(ParseValue, TableIsBitExactWithExactMessages) {
       {"-1e999k", "parse_value: not a number: '-1e999k'"},
       {"k1", "parse_value: not a number: 'k1'"},
       {"1 k", "parse_value: bad suffix in '1 k'"},
+      {"1.5e", "parse_value: bad suffix in '1.5e'"},
+      {"1e-310", "parse_value: not a number: '1e-310'"},
+      {"1.7976931348623159e308",
+       "parse_value: not a number: '1.7976931348623159e308'"},
       {long_bad, "parse_value: bad suffix in '" + long_bad + "'"},
   };
   for (const auto& c : rejected) {
