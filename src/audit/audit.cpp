@@ -4,6 +4,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -158,7 +159,7 @@ check::OracleInput stage_oracle_input(const timing::Design& design,
 
 void run_conditioning_tier(const timing::Design& design,
                            const AuditOptions& options,
-                           const std::vector<std::string>& content_keys,
+                           const std::vector<std::size_t>& cell,
                            Emitter& em) {
   AuditReport& report = *em.report;
   report.nets.reserve(design.net_count());
@@ -176,8 +177,8 @@ void run_conditioning_tier(const timing::Design& design,
     assessment.net = net.name;
     assessment.driver = design.net_driver(i);
     timing::detail::KeyBuilder kb;
-    kb.reserve(content_keys[i].size() + 16 * (net.sink_node.size() + 2));
-    kb.text(content_keys[i]).tag('G');
+    kb.reserve(16 * (net.sink_node.size() + 3));
+    kb.integer(cell[i]).tag('G');
     const auto gate_it = design.gates().find(assessment.driver);
     kb.number(gate_it == design.gates().end()
                   ? 0.0
@@ -233,42 +234,32 @@ std::string shape_key(const timing::Net& net) {
 }
 
 void run_repetition_tier(const timing::Design& design,
-                         const std::vector<std::string>& content_keys,
+                         const std::vector<std::size_t>& cell,
                          Emitter& em) {
   AuditReport& report = *em.report;
-  // Exact groups: the \x01R content key discipline from src/reduce --
-  // name-agnostic, so instances of one cell under different names
-  // collide on purpose.
-  std::map<std::string, std::vector<std::size_t>> exact;
+  // Exact groups: the cells of equal content keys.  Keyed by the first
+  // member's net index, so the map iterates in report order.
+  std::map<std::size_t, std::vector<std::size_t>> exact;
   std::map<std::string, std::vector<std::size_t>> shapes;
   for (std::size_t i = 0; i < design.net_count(); ++i) {
     const timing::Net& net = design.net_at(i);
-    exact[content_keys[i]].push_back(i);
+    exact[cell[i]].push_back(i);
     shapes[shape_key(net)].push_back(i);
   }
 
-  // Deterministic report order: groups by first-member net index.
-  std::vector<const std::vector<std::size_t>*> groups;
-  for (const auto& [key, members] : exact) {
-    (void)key;
-    if (members.size() >= 2) groups.push_back(&members);
-  }
-  std::sort(groups.begin(), groups.end(),
-            [](const auto* a, const auto* b) {
-              return a->front() < b->front();
-            });
-  for (const auto* members : groups) {
+  for (const auto& [first, members] : exact) {
+    if (members.size() < 2) continue;
     RepetitionGroup group;
-    group.representative = design.net_at(members->front()).name;
+    group.representative = design.net_at(first).name;
     std::string listing;
-    for (const std::size_t i : *members) {
+    for (const std::size_t i : members) {
       group.members.push_back(design.net_at(i).name);
       if (!listing.empty()) listing += ", ";
       listing += design.net_at(i).name;
     }
     std::ostringstream msg;
-    msg << members->size() << " nets share one reduction-store entry ("
-        << listing << "): 1 collapse, " << members->size() - 1
+    msg << members.size() << " nets share one reduction-store entry ("
+        << listing << "): 1 collapse, " << members.size() - 1
         << " rehydration(s)";
     em.emit(core::DiagCode::RepeatedStructure, core::Severity::Info,
             msg.str(), group.representative,
@@ -329,21 +320,30 @@ AuditReport audit_design(const timing::Design& design,
   AuditReport report;
   Emitter em{&report, sources};
   if (options.graph_rules) run_graph_tier(design, options, em);
-  // The name-agnostic content keys are shared infrastructure: the
-  // conditioning tier dedups oracle calls across isomorphic nets, the
-  // repetition tier groups by them -- serialize each net exactly once.
-  std::vector<std::string> content_keys;
+  // The name-agnostic content keys (the \x01R discipline of src/reduce:
+  // instances of one cell under different names collide on purpose) are
+  // shared infrastructure: the conditioning tier dedups oracle calls
+  // across isomorphic nets, the repetition tier groups by them.  Each
+  // net is serialized once; the tiers see only cell[i], the index of the
+  // first net whose key equals net i's, and the keys are dropped before
+  // either tier runs.
+  std::vector<std::size_t> cell;
   if (options.conditioning || options.repetition) {
+    std::vector<std::string> content_keys;
     content_keys.reserve(design.net_count());
     for (std::size_t i = 0; i < design.net_count(); ++i) {
       content_keys.push_back(
           reduce::reduction_content_key(design.net_at(i), options.reduce));
     }
+    std::unordered_map<std::string_view, std::size_t> first;
+    first.reserve(design.net_count());
+    cell.reserve(design.net_count());
+    for (std::size_t i = 0; i < design.net_count(); ++i) {
+      cell.push_back(first.try_emplace(content_keys[i], i).first->second);
+    }
   }
-  if (options.conditioning) {
-    run_conditioning_tier(design, options, content_keys, em);
-  }
-  if (options.repetition) run_repetition_tier(design, content_keys, em);
+  if (options.conditioning) run_conditioning_tier(design, options, cell, em);
+  if (options.repetition) run_repetition_tier(design, cell, em);
   return report;
 }
 

@@ -1,7 +1,9 @@
 #include "circuit/circuit.h"
 
 #include <cmath>
-#include <set>
+#include <string_view>
+#include <unordered_set>
+#include <vector>
 
 namespace awesim::circuit {
 
@@ -186,24 +188,30 @@ const Element* Circuit::find_element(std::string_view name) const {
 void Circuit::validate() const {
   // Every registered node must touch at least one element; a dangling
   // node would make the MNA matrix structurally singular with a far less
-  // helpful error.
-  std::set<NodeId> touched;
-  touched.insert(kGround);
+  // helpful error.  Flags indexed by node id; an id outside the registry
+  // touches nothing.
+  std::vector<char> touched(node_names_.size(), 0);
+  const auto touch = [&touched](NodeId id) {
+    if (id >= 0 && static_cast<std::size_t>(id) < touched.size()) {
+      touched[static_cast<std::size_t>(id)] = 1;
+    }
+  };
   for (const auto& e : elements_) {
-    touched.insert(e.pos);
-    touched.insert(e.neg);
+    touch(e.pos);
+    touch(e.neg);
   }
   for (const auto& m : macros_) {
-    for (const NodeId port : m.ports) touched.insert(port);
+    for (const NodeId port : m.ports) touch(port);
   }
   for (std::size_t id = 1; id < node_names_.size(); ++id) {
-    if (touched.count(static_cast<NodeId>(id)) == 0) {
+    if (touched[id] == 0) {
       throw std::invalid_argument("Circuit: node '" + node_names_[id] +
                                   "' is not connected to any element");
     }
   }
 
-  std::set<std::string_view> names;
+  std::unordered_set<std::string_view> names;
+  names.reserve(elements_.size());
   for (const auto& e : elements_) {
     if (e.name.empty()) {
       throw std::invalid_argument("Circuit: element with empty name");

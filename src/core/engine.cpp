@@ -128,26 +128,198 @@ double Approximation::settling_area() const {
   return area;
 }
 
-std::optional<double> Approximation::first_crossing(double level, double t0,
-                                                    double t1) const {
+namespace {
+
+// The crossing search may skip grid points only when every term is a
+// real decaying exponential, power 1: then |v'| on an interval without
+// atom starts is bounded by its value at the left end.  Everything must
+// be finite for the rounding margin to mean anything.
+bool skippable(const std::vector<AtomApproximation>& atoms) {
+  for (const auto& atom : atoms) {
+    if (!std::isfinite(atom.start_time) ||
+        !std::isfinite(atom.affine_offset) ||
+        !std::isfinite(atom.affine_slope)) {
+      return false;
+    }
+    for (const auto& term : atom.terms) {
+      if (term.power != 1 || term.pole.imag() != 0.0 ||
+          !(term.pole.real() < 0.0) || !std::isfinite(term.pole.real()) ||
+          !std::isfinite(term.residue.real()) ||
+          !std::isfinite(term.residue.imag())) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+// What holds on [t, next_start) for a skippable term set, with every
+// later point at most t1: |v'| <= slope_bound, and a computed
+// value(t') - level is within `margin` of the exact one at the same t'.
+struct LocalBound {
+  double slope_bound = 0.0;
+  double margin = 0.0;
+  double next_start = std::numeric_limits<double>::infinity();
+};
+
+// The active atoms are fixed on [t, next_start) and every exponential
+// decays, so
+//   |v'| <= |sum slope| + sum over distinct poles p of
+//           |p| |sum of k e^{p (t - s)} over the terms with pole p|.
+// Terms are grouped by pole because a ramp's start and end atoms carry
+// the same poles with cancelling residues.  The margin is
+// (16 + 4n) eps S, n the number of summands and S the sum of their
+// magnitudes; it also covers the rounding of the local time t' - s
+// (DESIGN.md section 7).
+LocalBound local_bound(const std::vector<AtomApproximation>& atoms,
+                       double level, double t, double t1) {
+  constexpr double kEps = std::numeric_limits<double>::epsilon();
+  LocalBound out;
+  const auto active = [t](const AtomApproximation& atom) {
+    return !(t < atom.start_time);
+  };
+  double slope = 0.0;
+  double slope_magnitude = 0.0;
+  double magnitude = std::abs(level);
+  std::size_t summands = 1;
+  for (const auto& atom : atoms) {
+    if (!active(atom)) {
+      out.next_start = std::min(out.next_start, atom.start_time);
+      continue;
+    }
+    slope += atom.affine_slope;
+    slope_magnitude += std::abs(atom.affine_slope);
+    magnitude += std::abs(atom.affine_offset) +
+                 std::abs(atom.affine_slope) *
+                     std::max(0.0, t1 - atom.start_time);
+    summands += 2 + atom.terms.size();
+    for (const auto& term : atom.terms) {
+      magnitude +=
+          std::abs(term.residue.real()) + std::abs(term.residue.imag());
+    }
+  }
+  const double rounding = static_cast<double>(16 + 4 * summands) * kEps;
+  out.margin = rounding * magnitude;
+  out.slope_bound = std::abs(slope) + rounding * slope_magnitude;
+  for (std::size_t a = 0; a < atoms.size(); ++a) {
+    if (!active(atoms[a])) continue;
+    for (std::size_t j = 0; j < atoms[a].terms.size(); ++j) {
+      const double pole = atoms[a].terms[j].pole.real();
+      // Each pole is summed once, at its first active term.
+      bool seen = false;
+      for (std::size_t b = 0; b <= a && !seen; ++b) {
+        if (!active(atoms[b])) continue;
+        const std::size_t end = b == a ? j : atoms[b].terms.size();
+        for (std::size_t k = 0; k < end && !seen; ++k) {
+          seen = atoms[b].terms[k].pole.real() == pole;
+        }
+      }
+      if (seen) continue;
+      double sum = 0.0;
+      double sum_magnitude = 0.0;
+      for (std::size_t b = a; b < atoms.size(); ++b) {
+        if (!active(atoms[b])) continue;
+        const double local = t - atoms[b].start_time;
+        for (std::size_t k = b == a ? j : 0; k < atoms[b].terms.size();
+             ++k) {
+          const auto& term = atoms[b].terms[k];
+          if (term.pole.real() != pole) continue;
+          sum += term.residue.real() * std::exp(pole * local);
+          sum_magnitude += std::abs(term.residue.real());
+        }
+      }
+      out.slope_bound += -pole * (std::abs(sum) + rounding * sum_magnitude);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::optional<double> Approximation::first_crossing(
+    double level, double t0, double t1, std::size_t* evaluations) const {
+  AWESIM_TRACE_SPAN("engine.crossing");
   constexpr std::size_t kScanPoints = 4096;
+  // Relative slack on the slope bound times a grid distance; covers
+  // the rounding of both with a wide margin.
+  constexpr double kSlack = 1.0 + 1e-6;
   if (!(t1 > t0)) return std::nullopt;
+  std::size_t calls = 0;
+  const auto f = [&](double t) {
+    ++calls;
+    return value(t) - level;
+  };
+  const auto grid = [&](std::size_t i) {
+    return t0 + (t1 - t0) * static_cast<double>(i) /
+                    static_cast<double>(kScanPoints);
+  };
+  const double spacing = (t1 - t0) / static_cast<double>(kScanPoints);
+  const bool skip = std::isfinite(level) && skippable(atoms_);
+
+  // How many grid points after point i (at t, computed f(t) = v)
+  // provably keep v's strict sign: every later t' before the next atom
+  // start with |v| - 2 margin - slope_bound (t' - t) > 0.  The scan
+  // could not have stopped at any of them.
+  const auto provable_run = [&](std::size_t i, double t,
+                                double v) -> std::size_t {
+    const LocalBound b = local_bound(atoms_, level, t, t1);
+    const double gap = std::abs(v) - 2.0 * b.margin;
+    if (!(gap > 0.0)) return 0;
+    const auto safe = [&](std::size_t k) {
+      const double tk = grid(i + k);
+      return tk < b.next_start && gap > b.slope_bound * (tk - t) * kSlack;
+    };
+    // Estimate from the uniform spacing, then make sure on the real
+    // grid; the condition is monotone in k, so bisect down if needed.
+    double estimate = static_cast<double>(kScanPoints - i);
+    if (b.slope_bound > 0.0) {
+      estimate =
+          std::min(estimate, gap / (b.slope_bound * spacing * kSlack));
+    }
+    if (b.next_start < t1) {
+      estimate = std::min(estimate, (b.next_start - t) / spacing);
+    }
+    std::size_t m = estimate >= 1.0 ? static_cast<std::size_t>(estimate) : 0;
+    if (m == 0 || safe(m)) return m;
+    std::size_t ok = 0;
+    while (m - ok > 1) {
+      const std::size_t mid = ok + (m - ok) / 2;
+      if (safe(mid)) {
+        ok = mid;
+      } else {
+        m = mid;
+      }
+    }
+    return ok;
+  };
+
+  std::optional<double> found;
   double prev_t = t0;
-  double prev_v = value(t0) - level;
-  if (prev_v == 0.0) return t0;
-  for (std::size_t i = 1; i <= kScanPoints; ++i) {
-    const double t =
-        t0 + (t1 - t0) * static_cast<double>(i) /
-                 static_cast<double>(kScanPoints);
-    const double v = value(t) - level;
+  double prev_v = f(t0);
+  if (prev_v == 0.0) found = t0;
+  for (std::size_t i = 1; !found && i <= kScanPoints; ++i) {
+    // Jump over the points that provably keep prev_v's sign; the stop
+    // test below reads only that sign, so it needs no value there.
+    const std::size_t run = skip ? provable_run(i - 1, prev_t, prev_v) : 0;
+    if (run > 0) {
+      i += run;
+      if (i > kScanPoints) break;
+      prev_t = grid(i - 1);
+    }
+    const double t = grid(i);
+    const double v = f(t);
     if ((prev_v < 0.0 && v >= 0.0) || (prev_v > 0.0 && v <= 0.0)) {
-      // Bisection refinement on the bracket.
+      // Bisection refinement on the bracket, seeded with the real value
+      // at its left end.  Once the midpoint rounds onto an end, every
+      // later step would leave lo, hi and flo as they are, so stopping
+      // there returns the same bits as running all 60 steps.
       double lo = prev_t;
       double hi = t;
-      double flo = prev_v;
+      double flo = run > 0 ? f(prev_t) : prev_v;
       for (int it = 0; it < 60; ++it) {
         const double mid = 0.5 * (lo + hi);
-        const double fm = value(mid) - level;
+        if (mid == lo || mid == hi) break;
+        const double fm = f(mid);
         if ((flo < 0.0) == (fm < 0.0)) {
           lo = mid;
           flo = fm;
@@ -155,12 +327,13 @@ std::optional<double> Approximation::first_crossing(double level, double t0,
           hi = mid;
         }
       }
-      return 0.5 * (lo + hi);
+      found = 0.5 * (lo + hi);
     }
     prev_t = t;
     prev_v = v;
   }
-  return std::nullopt;
+  if (evaluations != nullptr) *evaluations = calls;
+  return found;
 }
 
 waveform::Waveform Approximation::sample(double t0, double t1,

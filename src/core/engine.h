@@ -148,10 +148,16 @@ class Approximation {
 
   bool stable() const;
 
-  /// First crossing of `level` in [t0, t1], located by dense scan plus
-  /// bisection; nullopt if never crossed.  Handles nonmonotone waveforms.
-  std::optional<double> first_crossing(double level, double t0,
-                                       double t1) const;
+  /// First crossing of `level` in [t0, t1]; nullopt if never crossed.
+  /// Finds the first sign change of value(t) - level over the grid
+  /// t0 + (t1-t0)*i/4096, i = 0..4096, then bisects that cell.  Points
+  /// that provably keep the sign are skipped (real decaying poles only;
+  /// DESIGN.md section 7), with the same result as visiting each one.
+  /// Handles nonmonotone waveforms.  `evaluations`, when given,
+  /// receives the number of value() calls made.
+  std::optional<double> first_crossing(
+      double level, double t0, double t1,
+      std::size_t* evaluations = nullptr) const;
 
   /// Sample into a Waveform for plotting/comparison.
   waveform::Waveform sample(double t0, double t1, std::size_t count) const;

@@ -58,7 +58,9 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) {
   if (count == 0) return;
-  if (workers_.empty()) {
+  // Without workers, or with one job (a one-stage wavefront), waking the
+  // pool costs more than it can share: run inline on the caller.
+  if (workers_.empty() || count == 1) {
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }

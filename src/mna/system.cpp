@@ -30,6 +30,7 @@ constexpr double kFloatingIslandTolerance = 1e-12;
 
 MnaSystem::MnaSystem(const circuit::Circuit& ckt, Options options)
     : ckt_(&ckt), options_(options) {
+  AWESIM_TRACE_SPAN("mna.assemble");
   ckt.validate();
   stamp(ckt);
   build_events(ckt);
@@ -362,6 +363,13 @@ Solver MnaSystem::factor(double shift) const {
       throw la::SingularMatrixError(0);
     }
     ++solve_stats_.factorizations;
+    if (shift == 0.0 && gmin == 0.0 && !uses_sparse()) {
+      // G alone, dense: the stamped G densifies to the same bits as
+      // G + 0*C would.  The appended entries are all signed zeros, which
+      // leave every nonzero partial sum of from_triplets unchanged, and
+      // to_dense adds each entry to +0, which maps -0 to +0.
+      return Solver(la::Lu<double>(g_sparse_.to_dense()));
+    }
     const la::SparseMatrix m = assemble(gmin);
     if (uses_sparse()) {
       return Solver(la::SparseLu(m));

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -80,12 +82,37 @@ bool is_number(std::string_view token) {
          c == '+' || c == '.';
 }
 
-}  // namespace
+// The number at the front of a token, as strtod reads it, and the
+// count of characters it spans.
+struct Leading {
+  double value = 0.0;
+  std::size_t length = 0;
+};
 
-double parse_value(std::string_view token) {
-  if (token.empty()) {
-    throw std::invalid_argument("parse_value: empty token");
+// Plain decimals ([-]digit..., no leading '+', space or '.') whose value
+// is a normal double: std::from_chars reads the same subject sequence
+// as strtod and rounds it the same, correctly, without copying the
+// token.  Hex, inf/nan, zero, subnormal and out-of-range results, and
+// long tokens fall back to strtod.
+std::optional<Leading> plain_decimal(std::string_view token) {
+  if (token.size() >= 64) return std::nullopt;
+  const std::size_t digit = token.front() == '-' ? 1 : 0;
+  if (digit >= token.size() ||
+      !std::isdigit(static_cast<unsigned char>(token[digit]))) {
+    return std::nullopt;
   }
+  Leading out;
+  const auto [end, ec] =
+      std::from_chars(token.data(), token.data() + token.size(), out.value);
+  if (ec != std::errc() || !std::isnormal(out.value)) return std::nullopt;
+  out.length = static_cast<std::size_t>(end - token.data());
+  return out;
+}
+
+// std::stod's contract without its exceptions: no digits or an
+// out-of-range magnitude (ERANGE, on overflow and underflow alike) is
+// not a number, and errno is left as the caller had it.
+Leading strtod_prefix(std::string_view token) {
   // strtod needs a terminated string: a stack copy for every real value
   // token, the heap only past 63 characters.
   char small[64];
@@ -98,9 +125,6 @@ double parse_value(std::string_view token) {
     large.assign(token);
     str = large.c_str();
   }
-  // std::stod's contract without its exceptions: no digits or an
-  // out-of-range magnitude (ERANGE, on overflow and underflow alike) is
-  // not a number, and errno is left as the caller had it.
   const int saved_errno = errno;
   errno = 0;
   char* end = nullptr;
@@ -111,7 +135,19 @@ double parse_value(std::string_view token) {
     throw std::invalid_argument("parse_value: not a number: '" +
                                 std::string(token) + "'");
   }
-  const std::string_view suffix = token.substr(end - str);
+  return {base, static_cast<std::size_t>(end - str)};
+}
+
+}  // namespace
+
+double parse_value(std::string_view token) {
+  if (token.empty()) {
+    throw std::invalid_argument("parse_value: empty token");
+  }
+  const std::optional<Leading> fast = plain_decimal(token);
+  const Leading number = fast ? *fast : strtod_prefix(token);
+  const double base = number.value;
+  const std::string_view suffix = token.substr(number.length);
   const auto lower = [&suffix](std::size_t i) {
     return static_cast<char>(
         std::tolower(static_cast<unsigned char>(suffix[i])));

@@ -32,6 +32,9 @@
 //   session.invalidate  one cache entry dropped (failed verification
 //                    or evicted); the stage is recomputed
 //   netlist.parse    one netlist text read by either front end
+//   stage.build      one timing stage's circuit built from its net
+//   mna.assemble     one MnaSystem built: validation, G/C stamps, events
+//   engine.crossing  one threshold crossing of an approximation
 //
 // Cost model, so instrumentation can stay in hot paths:
 //   * compiled out (-DAWESIM_TRACING=OFF): the macro expands to nothing;

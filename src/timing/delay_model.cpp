@@ -8,6 +8,7 @@
 
 #include "circuit/circuit.h"
 #include "core/engine.h"
+#include "obs/trace.h"
 #include "timing/stage_cache.h"
 
 namespace awesim::timing {
@@ -109,6 +110,7 @@ struct StageCircuit {
 StageCircuit build_stage(const Gate& driver, const Net& net,
                          const std::map<std::string, Gate>& gates,
                          double swing, double slew) {
+  AWESIM_TRACE_SPAN("stage.build");
   StageCircuit sc;
   auto& ckt = sc.ckt;
   const auto vin = ckt.node("__in");
